@@ -136,8 +136,8 @@ def attribution_table(collectors: Sequence["TraceCollector"]
 
     Counts only spans that carry :data:`~repro.nt.tracing.spans.\
 SPAN_RECORDED` — each such span corresponds to exactly one trace record
-    (stamped by ``mark_recorded`` from the record itself), which is what
-    lets :func:`reconcile_attribution` hold exactly.
+    (stamped by ``mark_recorded`` with the record's own length), which is
+    what lets :func:`reconcile_attribution` hold exactly.
     """
     table = AttributionTable(
         rows={cause: CauseRow(cause) for cause in SpanCause},

@@ -11,6 +11,7 @@ instance table is built once by :mod:`repro.analysis.sessions` and cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -29,6 +30,30 @@ _MACHINE_STRIDE = 10 ** 9
 def pack_id(machine_idx: int, local_id: int) -> int:
     """Machine-unique id -> study-unique id."""
     return machine_idx * _MACHINE_STRIDE + local_id
+
+
+# The trace record's fields in TraceRecord order, which is also the order
+# of a staged block's row.
+_RECORD_COLUMNS = ("kind", "fo_id", "pid", "t_start", "t_end", "status",
+                   "irp_flags", "offset", "length", "returned", "file_size",
+                   "disposition", "options", "attributes", "info")
+_N_FIELDS = len(_RECORD_COLUMNS)
+_record_fields = attrgetter(*_RECORD_COLUMNS)
+
+
+def _record_rows(collector: TraceCollector) -> np.ndarray:
+    """A collector's trace records as an (n, 15) int64 array.
+
+    Staged blocks are read in place, so loading a warehouse allocates no
+    per-record objects; only records that analysis already materialised
+    are converted back field by field.
+    """
+    records, blocks = collector.record_chunks()
+    parts = [np.array([_record_fields(r) for r in records],
+                      dtype=np.int64).reshape(-1, _N_FIELDS)]
+    parts.extend(np.frombuffer(block, dtype=np.int64)
+                 .reshape(-1, _N_FIELDS) for block in blocks)
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -57,39 +82,25 @@ class ProcessDimension:
 class TraceWarehouse:
     """Columnar trace fact table with dimension lookups."""
 
-    COLUMNS = ("machine_idx", "kind", "fo_id", "pid", "t_start", "t_end",
-               "status", "irp_flags", "offset", "length", "returned",
-               "file_size", "disposition", "options", "attributes", "info")
+    COLUMNS = ("machine_idx",) + _RECORD_COLUMNS
 
     def __init__(self, collectors: Sequence[TraceCollector],
                  machine_categories: Optional[dict[str, str]] = None) -> None:
         self.machine_names = [c.machine_name for c in collectors]
         self.machine_categories = machine_categories or {}
         self._collectors = list(collectors)
-        n = sum(len(c.records) for c in collectors)
-        cols = {name: np.zeros(n, dtype=np.int64) for name in self.COLUMNS}
+        tables = [_record_rows(c) for c in collectors]
+        rows = (np.concatenate(tables) if tables
+                else np.zeros((0, _N_FIELDS), dtype=np.int64))
+        self.machine_idx = np.repeat(np.arange(len(tables), dtype=np.int64),
+                                     [len(t) for t in tables])
+        for j, name in enumerate(_RECORD_COLUMNS):
+            setattr(self, name, rows[:, j].copy())
+        self.fo_id = pack_id(self.machine_idx, self.fo_id)
+        self.pid = pack_id(self.machine_idx, self.pid)
         self.files: dict[int, FileDimension] = {}
         self.processes: dict[int, ProcessDimension] = {}
-        row = 0
         for midx, collector in enumerate(collectors):
-            for r in collector.records:
-                cols["machine_idx"][row] = midx
-                cols["kind"][row] = r.kind
-                cols["fo_id"][row] = pack_id(midx, r.fo_id)
-                cols["pid"][row] = pack_id(midx, r.pid)
-                cols["t_start"][row] = r.t_start
-                cols["t_end"][row] = r.t_end
-                cols["status"][row] = r.status
-                cols["irp_flags"][row] = r.irp_flags
-                cols["offset"][row] = r.offset
-                cols["length"][row] = r.length
-                cols["returned"][row] = r.returned
-                cols["file_size"][row] = r.file_size
-                cols["disposition"][row] = r.disposition
-                cols["options"][row] = r.options
-                cols["attributes"][row] = r.attributes
-                cols["info"][row] = r.info
-                row += 1
             for nr in collector.name_records:
                 gid = pack_id(midx, nr.fo_id)
                 self.files[gid] = FileDimension(
@@ -105,9 +116,7 @@ class TraceWarehouse:
                     pid=gid, name=pname,
                     interactive=collector.process_interactive.get(pid, False),
                     machine_idx=midx)
-        for name, arr in cols.items():
-            setattr(self, name, arr)
-        self.n_records = n
+        self.n_records = len(rows)
         self._instances: Optional[list["Instance"]] = None
 
     # ------------------------------------------------------------------ #

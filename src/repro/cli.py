@@ -116,13 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           " the per-subsystem wall-clock table")
     run.add_argument("--progress", action="store_true",
                      help="emit per-machine telemetry lines to stderr")
-    run.add_argument("--no-batched-dispatch", dest="batched_dispatch",
-                     action="store_false",
-                     help="disable the batched hot-path dispatch tables and"
-                          " columnar record buffer; archives, perf.json,"
-                          " metrics and span logs are byte-identical either"
-                          " way (this flag exists for differential testing"
-                          " and bisection)")
     _add_workers_option(run)
 
     study = sub.add_parser(
@@ -235,10 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--json", type=Path, default=None,
                          help="write the throughput baseline here (the CI"
                               " BENCH_throughput baseline)")
-    profile.add_argument("--no-batched-dispatch", dest="batched_dispatch",
-                         action="store_false",
-                         help="profile the unbatched dispatch path (for"
-                              " before/after throughput comparison)")
     _add_workers_option(profile)
 
     replay = sub.add_parser(
@@ -402,8 +391,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         verifier_enabled=args.verifier,
         metrics_interval_seconds=(DEFAULT_METRICS_INTERVAL_SECONDS
                                   if args.metrics else 0.0),
-        profile_enabled=args.profile,
-        batched_dispatch=args.batched_dispatch),
+        profile_enabled=args.profile),
         telemetry=telemetry)
     wall_seconds = time.perf_counter() - begin
     print(f"collected {result.total_records} records from "
@@ -821,8 +809,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         result = run_study(StudyConfig(
             n_machines=args.machines, duration_seconds=args.seconds,
             seed=args.seed, content_scale=args.scale,
-            workers=args.workers, profile_enabled=True,
-            batched_dispatch=args.batched_dispatch),
+            workers=args.workers, profile_enabled=True),
             telemetry=telemetry)
     wall_seconds = telemetry.phase_seconds["simulate"]
     _print_profile(result.profiles, result.total_records, wall_seconds)
@@ -856,7 +843,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 "seconds": args.seconds,
                 "seed": args.seed,
                 "scale": args.scale,
-                "batched_dispatch": args.batched_dispatch,
                 "records": result.total_records,
                 "bin_calls": {name: data["calls"]
                               for name, data in merged.items()},

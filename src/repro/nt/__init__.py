@@ -12,7 +12,7 @@ Subpackages mirror the components the paper instruments and analyses:
   I/O, and image (executable/DLL) loading.
 * :mod:`repro.nt.net` — a CIFS-style network redirector and file server.
 * :mod:`repro.nt.tracing` — the trace filter driver (54 event kinds, dual
-  timestamps, triple buffering), collector, and snapshot walker.
+  timestamps, 3,000-record buffers), collector, and snapshot walker.
 * :mod:`repro.nt.perf` — the performance-monitor subsystem: per-machine
   counters and latency histograms fed by the components above.
 * :mod:`repro.nt.win32` — the Win32-level API processes call

@@ -42,12 +42,11 @@ class IoManager:
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         config = machine.config
-        # Batched mode re-uses the FastIO parameter block as the fallback
-        # IRP when a driver declines (every record-relevant field is
-        # rewritten, so archives are identical).  The runtime verifier
-        # counts dispatches per packet, so reuse stays off under it.
-        self._reuse_declined_irp = (config.batched_dispatch
-                                    and not config.verifier_enabled)
+        # A declined FastIO call's parameter block is re-used as the
+        # fallback IRP (every record-relevant field is rewritten, so
+        # archives are identical).  The runtime verifier counts dispatches
+        # per packet, so reuse stays off under it.
+        self._reuse_declined_irp = not config.verifier_enabled
         # Dispatch CPU charges in ticks, pre-scaled to this machine's
         # clock rate (the same int(round(...)) Machine.charge_cpu does).
         self._irp_dispatch_ticks = ticks_from_micros(

@@ -104,14 +104,6 @@ class MachineConfig:
     # from memory_mb * cache_memory_fraction as before; the whatif sweep
     # sets an explicit size per grid cell.
     cache_bytes: Optional[int] = None
-    # Batched hot-path dispatch (repro.nt.tracing.fastbuf): stage trace
-    # records as columnar array rows instead of per-record dataclasses,
-    # resolve each stack's IrpMajor->handler table once at mount, and
-    # re-use the FastIO parameter block as the fallback IRP on decline.
-    # Proven byte-identical to the classic path by the differential suite
-    # (tests/test_batched_differential.py), hence on by default; turn off
-    # to run the original per-record object path.
-    batched_dispatch: bool = True
 
 
 class Process:
@@ -236,14 +228,11 @@ class Machine:
             storage_device = DeviceObject(self._storage, volume,
                                           f"{volume.label}-storage")
             fs_device.attach_on_top_of(storage_device)
-        filter_driver = TraceFilterDriver(
-            self.io, self.collector,
-            batched=self.config.batched_dispatch)
+        filter_driver = TraceFilterDriver(self.io, self.collector)
         filter_device = DeviceObject(filter_driver, volume,
                                      f"{volume.label}-filter")
         filter_device.attach_on_top_of(fs_device)
-        if self.config.batched_dispatch:
-            filter_driver.bind_fast_path(fs_device)
+        filter_driver.bind_fast_path(fs_device)
         self.io.register_stack(volume, filter_device)
         return filter_device
 

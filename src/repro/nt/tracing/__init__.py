@@ -10,9 +10,9 @@ from repro.nt.tracing.records import (
     fastio_op_for_kind,
     N_EVENT_KINDS,
 )
-from repro.nt.tracing.buffers import TripleBuffer, BUFFER_CAPACITY
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.driver import TraceFilterDriver
+from repro.nt.tracing.fastbuf import BUFFER_CAPACITY, FastRecordBuffer
 from repro.nt.tracing.snapshot import SnapshotRecord, take_snapshot
 from repro.nt.tracing.spans import (
     SPAN_BACKGROUND,
@@ -48,7 +48,7 @@ __all__ = [
     "irp_for_kind",
     "fastio_op_for_kind",
     "N_EVENT_KINDS",
-    "TripleBuffer",
+    "FastRecordBuffer",
     "BUFFER_CAPACITY",
     "TraceCollector",
     "TraceFilterDriver",

@@ -2,13 +2,12 @@
 
 The paper ran three dedicated collection servers storing incoming event
 streams in compressed form; here a collector is an in-process sink that
-accumulates trace records, name records, per-process names and file-system
-snapshots for one machine, ready for the analysis warehouse.
+accumulates trace records (as the trace filter's staged columnar blocks),
+name records, per-process names and file-system snapshots for one
+machine, ready for the store encoder and the analysis warehouse.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from typing import TYPE_CHECKING
 
@@ -25,11 +24,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class TraceCollector:
     """Accumulates one machine's tracing output.
 
-    Trace records arrive either as dataclass batches (the classic
-    triple-buffer path) or as columnar ``array('q')`` blocks (the batched
-    fast path, :mod:`repro.nt.tracing.fastbuf`).  Blocks are kept staged:
-    the store encoder packs them directly, and :attr:`records`
-    materialises them into dataclasses only when analysis asks.
+    Trace records arrive as columnar ``array('q')`` blocks
+    (:mod:`repro.nt.tracing.fastbuf`) — flushed by the trace filter, or
+    decoded whole by the store — and stay staged: the store encoder packs
+    them directly, and :attr:`records` materialises them into dataclasses
+    only when analysis asks.
     """
 
     def __init__(self, machine_name: str) -> None:
@@ -66,22 +65,15 @@ class TraceCollector:
     def record_chunks(self) -> tuple[list[TraceRecord], list["array"]]:
         """(materialised records, staged blocks), in record order.
 
-        The store encoder uses this to pack staged blocks directly —
-        without forcing materialisation — so archiving a batched run
-        never allocates per-record dataclasses.
+        The store encoder packs staged blocks directly and the warehouse
+        reads them in place — neither forces materialisation — so
+        archiving a run or loading it for analysis allocates no
+        per-record dataclasses.
         """
         return self._records, self._blocks
 
-    def receive(self, batch: Sequence[TraceRecord]) -> None:
-        """Accept a flushed trace buffer."""
-        if self._blocks:
-            # Keep record order if dataclass and columnar deliveries ever
-            # interleave (a machine uses exactly one path in practice).
-            self._materialise()
-        self._records.extend(batch)
-
     def receive_block(self, block: "array") -> None:
-        """Accept one columnar block from the batched fast path."""
+        """Accept one columnar block of records."""
         self._n_staged += len(block) // RECORD_FIELDS
         self._blocks.append(block)
 

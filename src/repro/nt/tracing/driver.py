@@ -7,17 +7,16 @@ record and filter during analysis (§3.3).  It implements full FastIO
 pass-through: a filter that failed to do so would sever the I/O manager's
 route to the cache manager (§10).
 
-Batched mode (``MachineConfig.batched_dispatch``) changes *how* the same
-events are recorded, never *what* is recorded:
+The filter sits on every request's path, so it keeps its own cost low:
 
-* records are staged as columnar rows in a
-  :class:`~repro.nt.tracing.fastbuf.FastRecordBuffer` instead of
-  per-record dataclasses — same field values, same flush boundaries;
+* each record is staged as a columnar row in a
+  :class:`~repro.nt.tracing.fastbuf.FastRecordBuffer`; no per-event
+  ``TraceRecord`` object exists until analysis asks for one;
 * the leaf driver's per-major handler table is resolved once per device
   stack at attach time (:meth:`TraceFilterDriver.bind_fast_path`), so a
   request skips the generic forward/dispatch frames.  Stacks whose leaf
-  driver exposes no handler tables (the network redirector) keep the
-  generic forwarding path.
+  driver overrides the table-driven dispatch (the network redirector)
+  keep the generic forwarding path.
 """
 
 from __future__ import annotations
@@ -29,15 +28,9 @@ from repro.nt.flight.profiler import BIN_FS_DRIVER, BIN_TRACE_FILTER
 from repro.nt.io.driver import DeviceObject, Driver
 from repro.nt.io.fastio import FastIoOp, FastIoResult
 from repro.nt.io.irp import Irp, IrpMajor, IrpMinor
-from repro.nt.tracing.buffers import TripleBuffer
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.fastbuf import FastRecordBuffer
-from repro.nt.tracing.records import (
-    NameRecord,
-    TraceRecord,
-    kind_for_fastio,
-    kind_for_irp,
-)
+from repro.nt.tracing.records import NameRecord, kind_for_fastio, kind_for_irp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nt.io.iomanager import IoManager
@@ -50,15 +43,10 @@ class TraceFilterDriver(Driver):
 
     name = "tracefilter"
 
-    def __init__(self, io: "IoManager", collector: TraceCollector,
-                 batched: bool = False) -> None:
+    def __init__(self, io: "IoManager", collector: TraceCollector) -> None:
         super().__init__(io)
         self.collector = collector
-        self.batched = batched
-        if batched:
-            self.buffer = FastRecordBuffer(self._flush_block)
-        else:
-            self.buffer = TripleBuffer(self._flush_to_collector)
+        self.buffer = FastRecordBuffer(self._flush_block)
         self._named_fo_ids: set[int] = set()
         self.enabled = True
         perf = io.machine.perf
@@ -67,9 +55,9 @@ class TraceFilterDriver(Driver):
         self._perf_flushes = perf.counter("trace.buffer_flushes")
         # Requests that passed through while tracing was disabled.
         self._perf_dropped = perf.counter("trace.dropped")
-        # Precomputed lower-stack dispatch tables (batched mode): major /
-        # FastIO op -> handler bound to the leaf driver, resolved once per
-        # device stack by bind_fast_path instead of once per request.
+        # Precomputed lower-stack dispatch tables: major / FastIO op ->
+        # handler bound to the leaf driver, resolved once per device stack
+        # by bind_fast_path instead of once per request.
         self._fs_device: DeviceObject | None = None
         self._fs_irp_handlers: dict | None = None
         self._fs_fastio_handlers: dict | None = None
@@ -98,11 +86,6 @@ class TraceFilterDriver(Driver):
             major: func.__get__(driver) for major, func in irp_table.items()}
         self._fs_fastio_handlers = {
             op: func.__get__(driver) for op, func in fastio_table.items()}
-
-    def _flush_to_collector(self, records) -> None:
-        if self._perf.enabled:
-            self._perf_flushes.add(1)
-        self.collector.receive(records)
 
     def _flush_block(self, block) -> None:
         if self._perf.enabled:
@@ -139,14 +122,7 @@ class TraceFilterDriver(Driver):
                         profiler.exit()
                 else:
                     status = handler(irp, self._fs_device)
-            if self.batched:
-                self._append_fast(int(kind_for_irp(irp)), irp)
-            else:
-                record = self._record_for(kind_for_irp(irp), irp)
-                self.buffer.append(record)
-                spans = self.io.machine.spans
-                if spans.enabled:
-                    spans.mark_recorded(record)
+            self._stage_record(int(kind_for_irp(irp)), irp)
             if self._perf.enabled:
                 self._perf_records.add(1)
             return status
@@ -182,14 +158,7 @@ class TraceFilterDriver(Driver):
                 # logs the bytes actually transferred.
                 irp_like.status = result.status
                 irp_like.returned = result.returned
-                if self.batched:
-                    self._append_fast(int(kind_for_fastio(op)), irp_like)
-                else:
-                    record = self._record_for(kind_for_fastio(op), irp_like)
-                    self.buffer.append(record)
-                    spans = self.io.machine.spans
-                    if spans.enabled:
-                        spans.mark_recorded(record)
+                self._stage_record(int(kind_for_fastio(op)), irp_like)
                 if self._perf.enabled:
                     self._perf_records.add(1)
             elif not self.enabled and result.handled and self._perf.enabled:
@@ -219,16 +188,15 @@ class TraceFilterDriver(Driver):
             t=self.io.machine.clock.now,
         ))
 
-    def _append_fast(self, kind: int, irp: Irp) -> None:
-        """Stage one record as a columnar row (no dataclass allocation).
-
-        Field values and order are exactly :meth:`_record_for`'s — the
-        differential-identity suite (tests/test_batched_differential.py)
-        holds the two paths byte-identical.
-        """
+    def _stage_record(self, kind: int, irp: Irp) -> None:
+        """Stage one record as a columnar row (no dataclass allocation)."""
         machine = self.io.machine
+        # The filter sees the request complete before the I/O manager
+        # stamps it, so stamp the completion time here.
         now = machine.clock.now
         irp.t_complete = now
+        # SET_INFORMATION carries its argument (new size, or the delete
+        # disposition flag) where data operations carry a length.
         length = (irp.set_size if irp.major == _SET_INFORMATION
                   else irp.length)
         fo = irp.file_object
@@ -239,6 +207,7 @@ class TraceFilterDriver(Driver):
         else:
             fo_id = 0
             file_size = 0
+        # Field order is records.TraceRecord's.
         self.buffer.append_row((
             kind, fo_id, irp.process_id, irp.t_start, now,
             int(irp.status), int(irp.flags), irp.offset, length,
@@ -247,33 +216,4 @@ class TraceFilterDriver(Driver):
             int(irp.information_class) or int(irp.control_code)))
         spans = machine.spans
         if spans.enabled:
-            spans.mark_recorded_length(length)
-
-    def _record_for(self, kind: int, irp: Irp) -> TraceRecord:
-        # The filter sees the request complete before the I/O manager
-        # stamps it, so stamp the completion time here.
-        irp.t_complete = self.io.machine.clock.now
-        # SET_INFORMATION carries its argument (new size, or the delete
-        # disposition flag) where data operations carry a length.
-        length = (irp.set_size if irp.major == IrpMajor.SET_INFORMATION
-                  else irp.length)
-        fo = irp.file_object
-        node = fo.node if fo is not None else None
-        file_size = getattr(node, "size", 0) if node is not None else 0
-        return TraceRecord(
-            kind=int(kind),
-            fo_id=fo.fo_id if fo is not None else 0,
-            pid=irp.process_id,
-            t_start=irp.t_start,
-            t_end=irp.t_complete,
-            status=int(irp.status),
-            irp_flags=int(irp.flags),
-            offset=irp.offset,
-            length=length,
-            returned=irp.returned,
-            file_size=file_size,
-            disposition=int(irp.create_disposition),
-            options=int(irp.create_options),
-            attributes=int(irp.create_attributes),
-            info=int(irp.information_class) or int(irp.control_code),
-        )
+            spans.mark_recorded(length)

@@ -1,23 +1,22 @@
-"""Array-backed trace record staging (the batched fast path).
+"""Trace record staging: the §3.2 record buffers, held columnar.
 
-The classic record path allocates one frozen :class:`TraceRecord`
-dataclass per event and buffers it through the paper's triple-buffer
-scheme (:mod:`repro.nt.tracing.buffers`).  At fleet scale that per-record
-allocation dominates the simulator's inner loop, so machines built with
-``MachineConfig.batched_dispatch`` stage records *columnar* instead: each
-record is 15 signed 64-bit fields appended flat into an ``array('q')``
-block.  A full block flushes to the collector, which keeps blocks intact
-until analysis asks for dataclass records (lazy materialisation) or the
-store encoder packs them — on a little-endian host a block's
-``tobytes()`` is byte-for-byte the concatenation of the ``<15q`` structs
-the classic encoder writes, so archives stay byte-identical either way.
-Elsewhere the encoder falls back to per-row struct packing.
+The paper's driver kept three 3,000-record buffers, flushing a full buffer
+to the collection server while the next one filled.  An idle system filled
+a buffer in an hour; a loaded one in 3–5 seconds.  The simulator keeps the
+same capacity, flush-on-full, and end-of-run drain (and counts flushes in
+``trace.buffer_flushes``) so the capacity maths of the paper can be
+tested, while "flushing" hands the block to the in-process collector.
+That hand-off always completes at once, so one filling block models the
+paper's "overflow never occurred during our tracing runs" case.
 
-Flush boundaries and statistics mirror
-:class:`~repro.nt.tracing.buffers.TripleBuffer` exactly — the same
-3,000-record capacity, flush-on-full, and end-of-run drain — so the
-``trace.buffer_flushes`` counter, ``perf.json``, and the flight
-recorder's ``.ntmetrics`` samples cannot tell the two paths apart.
+No per-event object exists on the way: each record is 15 signed 64-bit
+fields appended flat into an ``array('q')`` block.  Flushed blocks stay
+staged in the collector until analysis asks for :class:`TraceRecord`
+dataclasses (:func:`records_from_block`) or the store encoder packs them
+(:func:`pack_block`).  On a little-endian host a block's ``tobytes()`` is
+byte for byte the concatenation of the archive's ``<15q`` record structs,
+so packing is a memory copy and decoding (:func:`unpack_block`) its
+inverse; elsewhere both fall back to per-row struct packing.
 """
 
 from __future__ import annotations
@@ -27,17 +26,19 @@ import sys
 from array import array
 from typing import Callable, List
 
-from repro.nt.tracing.buffers import BUFFER_CAPACITY
 from repro.nt.tracing.records import TraceRecord
 
-# Fields per trace record; must match records.TraceRecord and the store's
-# ``<15q>`` record struct.
+# Records per buffer (§3.2).
+BUFFER_CAPACITY = 3000
+
+# Fields per trace record, in records.TraceRecord order, and the store's
+# packed little-endian layout of one record.
 RECORD_FIELDS = 15
-_RECORD = struct.Struct("<15q")
+RECORD_STRUCT = struct.Struct("<15q")
 
 # array('q').tobytes() equals the concatenated '<15q' packs only on a
 # little-endian host with 8-byte array items; anywhere else pack_block
-# falls back to per-row struct packing.
+# and unpack_block fall back to per-row struct packing.
 NATIVE_FAST_PACK = sys.byteorder == "little" and array("q").itemsize == 8
 
 
@@ -47,23 +48,34 @@ def pack_block(block: array) -> bytes:
         return block.tobytes()
     out = bytearray()
     for i in range(0, len(block), RECORD_FIELDS):
-        out += _RECORD.pack(*block[i:i + RECORD_FIELDS])
+        out += RECORD_STRUCT.pack(*block[i:i + RECORD_FIELDS])
     return bytes(out)
 
 
+def unpack_block(raw: bytes) -> array:
+    """Decode packed record bytes (a whole number of records) into a block."""
+    block = array("q")
+    if NATIVE_FAST_PACK:
+        block.frombytes(raw)
+    else:
+        for fields in RECORD_STRUCT.iter_unpack(raw):
+            block.extend(fields)
+    return block
+
+
 def records_from_block(block: array) -> List[TraceRecord]:
-    """Materialise a staged block into classic dataclass records."""
-    return [TraceRecord(*block[i:i + RECORD_FIELDS])
-            for i in range(0, len(block), RECORD_FIELDS)]
+    """Materialise a staged block into dataclass records."""
+    # zip over one shared iterator deals the flat fields out in rows.
+    fields = iter(block)
+    return [TraceRecord(*row) for row in zip(*[fields] * RECORD_FIELDS)]
 
 
 class FastRecordBuffer:
     """Fixed-capacity columnar record staging feeding a flush callback.
 
-    Statistic-compatible with :class:`TripleBuffer` (``records_seen``,
-    ``rotations``, ``active_fill``, ``drain``), but :meth:`append_row`
-    takes a record's 15 fields as a tuple of ints — no ``TraceRecord``
-    object exists on the hot path.
+    :meth:`append_row` takes a record's 15 fields as a tuple of ints.
+    ``records_seen``, ``rotations`` (full-block flushes) and
+    ``active_fill`` count what passed through.
     """
 
     __slots__ = ("capacity", "_flush", "_buf", "_capacity_fields",

@@ -61,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nt.io.irp import Irp
     from repro.nt.system import Machine
     from repro.nt.tracing.collector import TraceCollector
-    from repro.nt.tracing.records import TraceRecord
 
 
 class SpanLayer(enum.IntEnum):
@@ -239,25 +238,14 @@ class SpanTracer:
         """The driver declined the FastIO call; no record will follow."""
         span.flags |= SPAN_DECLINED
 
-    def mark_recorded(self, record: "TraceRecord") -> None:
-        """The trace filter emitted ``record`` inside the innermost span.
+    def mark_recorded(self, length: int) -> None:
+        """The trace filter staged a record inside the innermost span.
 
-        Stamping the span from the record itself (rather than recomputing
-        kind and length) is what makes the attribution tables reconcile
-        *exactly* with the store's per-kind counts: a recorded span and
-        its record share one source of truth.
-        """
-        span = self._stack[-1]
-        span.flags |= SPAN_RECORDED
-        span.nbytes = record.length
-
-    def mark_recorded_length(self, length: int) -> None:
-        """Fast-path twin of :meth:`mark_recorded`.
-
-        The batched filter stages records as columnar rows without ever
-        building a ``TraceRecord``; it passes the row's length field —
-        the same value the record carries — so the span log stays
-        byte-identical to the classic path's.
+        ``length`` is the staged row's own length field.  Stamping the
+        span from the record (rather than recomputing kind and length) is
+        what makes the attribution tables reconcile *exactly* with the
+        store's per-kind counts: a recorded span and its record share one
+        source of truth.
         """
         span = self._stack[-1]
         span.flags |= SPAN_RECORDED

@@ -7,6 +7,13 @@ simulated collectors the same property: a compact binary format (packed
 little-endian records, zlib-compressed) that round-trips a
 :class:`~repro.nt.tracing.collector.TraceCollector` through a single
 file, so studies can be archived and re-analysed without re-simulation.
+
+The record section is the collector's staged columnar blocks, packed
+verbatim (:mod:`repro.nt.tracing.fastbuf`) and decoded back into one
+staged block; records become :class:`TraceRecord` dataclasses only when
+analysis asks.  Each section has one reader, shared by the whole-file
+decoder and the streaming readers, and damage raises ``ValueError``
+naming the file.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from pathlib import Path
 from typing import BinaryIO, Union
 
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.fastbuf import pack_block
+from repro.nt.tracing.fastbuf import RECORD_STRUCT, pack_block, unpack_block
 from repro.nt.tracing.records import NameRecord, TraceRecord
 from repro.nt.tracing.snapshot import SnapshotRecord
 from repro.nt.tracing.spans import SPAN_STRUCT, SpanRecord
@@ -36,19 +43,20 @@ _HEADER_LEN = len(_MAGIC_PREFIX) + 1 + 8
 STORE_FORMAT_VERSION = 3
 _SPANLESS_FORMAT_VERSION = 2
 SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
-_RECORD = struct.Struct("<15q")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_NAME = struct.Struct("<qq?q")  # fo_id, pid, volume_is_remote, t
+_PROCESS = struct.Struct("<q?")  # pid, interactive
 _SNAP = struct.Struct("<?5q3q")  # is_dir + size/time fields + counts/depth
+_INFLATE_CHUNK = 1 << 16
+# Trace records decoded per read when streaming a record section.
+_STREAM_BATCH = 1 << 12
 
 
 def _write_str(buf: BinaryIO, text: str) -> None:
     raw = text.encode("utf-8")
-    buf.write(struct.pack("<I", len(raw)))
+    buf.write(_U32.pack(len(raw)))
     buf.write(raw)
-
-
-def _read_str(buf: BinaryIO) -> str:
-    (length,) = struct.unpack("<I", buf.read(4))
-    return buf.read(length).decode("utf-8")
 
 
 def pack_collector(collector: TraceCollector) -> bytes:
@@ -61,34 +69,32 @@ def pack_collector(collector: TraceCollector) -> bytes:
     """
     buf = io.BytesIO()
     _write_str(buf, collector.machine_name)
-    # Trace records.  Staged columnar blocks (the batched fast path) are
-    # packed directly — on little-endian hosts a straight memory copy —
-    # without materialising dataclasses; the bytes are identical to the
-    # per-record packing below.
+    # Trace records.  Staged columnar blocks are packed directly — on
+    # little-endian hosts a straight memory copy — without materialising
+    # dataclasses; records analysis already materialised pack per record.
     records, blocks = collector.record_chunks()
-    buf.write(struct.pack("<Q", len(collector)))
+    buf.write(_U64.pack(len(collector)))
     for r in records:
-        buf.write(_RECORD.pack(
+        buf.write(RECORD_STRUCT.pack(
             r.kind, r.fo_id, r.pid, r.t_start, r.t_end, r.status,
             r.irp_flags, r.offset, r.length, r.returned, r.file_size,
             r.disposition, r.options, r.attributes, r.info))
     for block in blocks:
         buf.write(pack_block(block))
     # Name records.
-    buf.write(struct.pack("<Q", len(collector.name_records)))
+    buf.write(_U64.pack(len(collector.name_records)))
     for n in collector.name_records:
-        buf.write(struct.pack("<qq?q", n.fo_id, n.pid,
-                              n.volume_is_remote, n.t))
+        buf.write(_NAME.pack(n.fo_id, n.pid, n.volume_is_remote, n.t))
         _write_str(buf, n.path)
         _write_str(buf, n.volume_label)
     # Processes.
-    buf.write(struct.pack("<Q", len(collector.process_names)))
+    buf.write(_U64.pack(len(collector.process_names)))
     for pid, name in collector.process_names.items():
-        buf.write(struct.pack(
-            "<q?", pid, collector.process_interactive.get(pid, False)))
+        buf.write(_PROCESS.pack(
+            pid, collector.process_interactive.get(pid, False)))
         _write_str(buf, name)
     # Snapshots.
-    buf.write(struct.pack("<Q", len(collector.snapshots)))
+    buf.write(_U64.pack(len(collector.snapshots)))
     for label, when, records in collector.snapshots:
         _write_str(buf, label)
         buf.write(struct.pack("<qQ", when, len(records)))
@@ -104,7 +110,7 @@ def pack_collector(collector: TraceCollector) -> bytes:
     # collector packs byte-for-byte like a v2 one — the differential
     # guarantee the parallel transport and archive tests rely on.
     if collector.span_records:
-        buf.write(struct.pack("<Q", len(collector.span_records)))
+        buf.write(_U64.pack(len(collector.span_records)))
         for s in collector.span_records:
             buf.write(SPAN_STRUCT.pack(
                 s.span_id, s.parent_id, s.activity_id, s.layer, s.op,
@@ -112,52 +118,165 @@ def pack_collector(collector: TraceCollector) -> bytes:
     return buf.getvalue()
 
 
-def unpack_collector(raw: bytes) -> TraceCollector:
-    """Rebuild a collector from :func:`pack_collector` bytes."""
-    buf = io.BytesIO(raw)
-    collector = TraceCollector(_read_str(buf))
-    (n_records,) = struct.unpack("<Q", buf.read(8))
-    for _ in range(n_records):
-        fields = _RECORD.unpack(buf.read(_RECORD.size))
-        collector.records.append(TraceRecord(*fields))
-    (n_names,) = struct.unpack("<Q", buf.read(8))
-    for _ in range(n_names):
-        fo_id, pid, is_remote, t = struct.unpack("<qq?q", buf.read(25))
-        path = _read_str(buf)
-        label = _read_str(buf)
-        collector.name_records.append(NameRecord(
+# --------------------------------------------------------------------- #
+# Decoding.  Every section is read through a _Reader, whether the payload
+# sits decompressed in memory or is inflated chunk by chunk from a file.
+
+class _Reader:
+    """Exact-length reads over a payload arriving in chunks.
+
+    Reads slice an immutable buffer at a cursor; the unread tail is joined
+    with the next chunks only when a read runs past the buffer's end.  A
+    read past the end of the payload raises ``ValueError`` naming
+    ``source``.
+    """
+
+    def __init__(self, source, chunks) -> None:
+        self.source = source
+        self._chunks = iter(chunks)
+        self._buf = b""
+        self._pos = 0
+
+    def _fill(self, n: int) -> bool:
+        """Buffer at least ``n`` unread bytes; False if the payload ends."""
+        parts = [self._buf[self._pos:]]
+        have = len(parts[0])
+        while have < n:
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                break
+            parts.append(chunk)
+            have += len(chunk)
+        self._buf = b"".join(parts)
+        self._pos = 0
+        return have >= n
+
+    def at_end(self) -> bool:
+        return self._pos == len(self._buf) and not self._fill(1)
+
+    def read(self, n: int) -> bytes:
+        pos = self._pos
+        end = pos + n
+        if end > len(self._buf):
+            if not self._fill(n):
+                raise ValueError(
+                    f"{self.source}: payload ends mid-record "
+                    f"(wanted {n} bytes, {len(self._buf)} left)")
+            pos, end = 0, n
+        self._pos = end
+        return self._buf[pos:end]
+
+
+def _inflate(path, payload: bytes):
+    """Decompress a store payload incrementally, chunk by chunk."""
+    view = memoryview(payload)
+    decomp = zlib.decompressobj()
+    try:
+        for pos in range(0, len(view), _INFLATE_CHUNK):
+            yield decomp.decompress(view[pos:pos + _INFLATE_CHUNK])
+        yield decomp.flush()
+    except zlib.error as exc:
+        raise ValueError(f"{path}: corrupt compressed payload: {exc}") \
+            from None
+    if not decomp.eof:
+        raise ValueError(f"{path}: corrupt compressed payload: "
+                         f"incomplete or truncated stream")
+
+
+def _read_u64(reader: _Reader) -> int:
+    return _U64.unpack(reader.read(8))[0]
+
+
+def _read_str(reader: _Reader) -> str:
+    raw = reader.read(_U32.unpack(reader.read(4))[0])
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{reader.source}: corrupt string: {exc}") from None
+
+
+def _read_prologue(reader: _Reader) -> tuple[str, int]:
+    """(machine name, trace record count): the payload's first section."""
+    name = _read_str(reader)
+    return name, _read_u64(reader)
+
+
+def _read_names(reader: _Reader) -> list[NameRecord]:
+    names = []
+    for _ in range(_read_u64(reader)):
+        fo_id, pid, is_remote, t = _NAME.unpack(reader.read(_NAME.size))
+        path = _read_str(reader)
+        label = _read_str(reader)
+        names.append(NameRecord(
             fo_id=fo_id, path=path, volume_label=label,
             volume_is_remote=is_remote, pid=pid, t=t))
-    (n_procs,) = struct.unpack("<Q", buf.read(8))
-    for _ in range(n_procs):
-        pid, interactive = struct.unpack("<q?", buf.read(9))
-        name = _read_str(buf)
-        collector.register_process(pid, name, interactive)
-    (n_snaps,) = struct.unpack("<Q", buf.read(8))
-    for _ in range(n_snaps):
-        label = _read_str(buf)
-        when, n_recs = struct.unpack("<qQ", buf.read(16))
+    return names
+
+
+def _read_processes(reader: _Reader) -> tuple[dict, dict]:
+    """(pid -> image name, pid -> interactive)."""
+    process_names: dict[int, str] = {}
+    process_interactive: dict[int, bool] = {}
+    for _ in range(_read_u64(reader)):
+        pid, interactive = _PROCESS.unpack(reader.read(_PROCESS.size))
+        process_names[pid] = _read_str(reader)
+        process_interactive[pid] = interactive
+    return process_names, process_interactive
+
+
+def _read_snapshots(reader: _Reader):
+    """[(volume label, when, snapshot records)]."""
+    snapshots = []
+    for _ in range(_read_u64(reader)):
+        label = _read_str(reader)
+        when, n_recs = struct.unpack("<qQ", reader.read(16))
         records = []
         for _ in range(n_recs):
             (is_dir, size, creation, last_write, last_access, depth,
-             n_files, n_subdirs, _pad) = _SNAP.unpack(buf.read(_SNAP.size))
-            path = _read_str(buf)
-            ext = _read_str(buf)
+             n_files, n_subdirs, _pad) = _SNAP.unpack(reader.read(_SNAP.size))
+            path = _read_str(reader)
+            ext = _read_str(reader)
             records.append(SnapshotRecord(
                 is_directory=is_dir, path=path, extension=ext, depth=depth,
                 size=size, creation_time=creation,
                 last_write_time=last_write, last_access_time=last_access,
                 n_files=n_files, n_subdirectories=n_subdirs))
-        collector.receive_snapshot(label, when, records)
+        snapshots.append((label, when, records))
+    return snapshots
+
+
+def _unpack(reader: _Reader) -> TraceCollector:
+    """Decode a whole payload; the record section becomes one staged block.
+
+    Damage — a payload that ends early, or stray bytes after the last
+    section — raises ``ValueError`` naming the reader's source.
+    """
+    name, n_records = _read_prologue(reader)
+    collector = TraceCollector(name)
+    if n_records:
+        collector.receive_block(
+            unpack_block(reader.read(n_records * RECORD_STRUCT.size)))
+    collector.name_records.extend(_read_names(reader))
+    process_names, process_interactive = _read_processes(reader)
+    collector.process_names.update(process_names)
+    collector.process_interactive.update(process_interactive)
+    collector.snapshots.extend(_read_snapshots(reader))
     # Optional trailing span section: v1/v2 payloads end exactly after the
     # snapshots, so any remaining bytes are the v3 span log.
-    tail = buf.read(8)
-    if tail:
-        (n_spans,) = struct.unpack("<Q", tail)
-        for _ in range(n_spans):
-            collector.span_records.append(
-                SpanRecord(*SPAN_STRUCT.unpack(buf.read(SPAN_STRUCT.size))))
+    if not reader.at_end():
+        n_spans = _read_u64(reader)
+        collector.span_records.extend(
+            SpanRecord(*fields) for fields in SPAN_STRUCT.iter_unpack(
+                reader.read(n_spans * SPAN_STRUCT.size)))
+        if not reader.at_end():
+            raise ValueError(
+                f"{reader.source}: stray bytes after the span log")
     return collector
+
+
+def unpack_collector(raw: bytes) -> TraceCollector:
+    """Rebuild a collector from :func:`pack_collector` bytes."""
+    return _unpack(_Reader("packed collector", [raw]))
 
 
 def save_collector(collector: TraceCollector,
@@ -214,62 +333,17 @@ def _parse_store(path, data: bytes) -> tuple[int, bytes]:
     return version, data[_HEADER_LEN:]
 
 
-def _decompress(path, payload: bytes) -> bytes:
-    try:
-        return zlib.decompress(payload)
-    except zlib.error as exc:
-        raise ValueError(f"{path}: corrupt compressed payload: {exc}") \
-            from None
-
-
 def load_collector(path: Union[str, Path]) -> TraceCollector:
     """Read a collector written by :func:`save_collector` (any version)."""
     data = Path(path).read_bytes()
     _version, payload = _parse_store(path, data)
-    return unpack_collector(_decompress(path, payload))
-
-
-class _StreamReader:
-    """Incremental zlib decompression presenting a blocking read(n)."""
-
-    _CHUNK = 1 << 16
-
-    def __init__(self, path, payload: bytes) -> None:
-        self._path = path
-        self._view = memoryview(payload)
-        self._pos = 0
-        self._decomp = zlib.decompressobj()
-        self._buf = bytearray()
-
-    def read(self, n: int) -> bytes:
-        try:
-            while len(self._buf) < n and self._pos < len(self._view):
-                chunk = self._view[self._pos:self._pos + self._CHUNK]
-                self._pos += len(chunk)
-                self._buf += self._decomp.decompress(chunk)
-            if len(self._buf) < n and self._pos >= len(self._view):
-                self._buf += self._decomp.flush()
-        except zlib.error as exc:
-            raise ValueError(
-                f"{self._path}: corrupt compressed payload: {exc}") from None
-        if len(self._buf) < n:
-            raise ValueError(
-                f"{self._path}: payload ends mid-record "
-                f"(wanted {n} bytes, {len(self._buf)} left)")
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
+    return _unpack(_Reader(path, _inflate(path, payload)))
 
 
 def read_store_header(path: Union[str, Path]) -> tuple[int, str, int]:
     """(format version, machine name, record count) of a store file."""
-    data = Path(path).read_bytes()
-    version, payload = _parse_store(path, data)
-    reader = _StreamReader(path, payload)
-    (name_len,) = struct.unpack("<I", reader.read(4))
-    name = reader.read(name_len).decode("utf-8")
-    (n_records,) = struct.unpack("<Q", reader.read(8))
-    return version, name, n_records
+    stream = StoreStream(path)
+    return stream.version, stream.machine_name, stream.n_records
 
 
 def iter_trace_records(path: Union[str, Path], kinds=None):
@@ -277,30 +351,17 @@ def iter_trace_records(path: Union[str, Path], kinds=None):
 
     Decompresses incrementally and yields one :class:`TraceRecord` at a
     time, so a multi-gigabyte archive can be scanned (fidelity statistics,
-    kind counts) holding only the compressed bytes plus one record in
-    memory — the replay CLI uses this for the source side of the fidelity
-    report.  Name records, processes, and snapshots are not materialised.
+    kind counts) holding only the compressed bytes plus one batch of
+    packed records in memory — the replay CLI uses this for the source
+    side of the fidelity report.  Name records, processes, and snapshots
+    are not materialised.
 
     ``kinds`` is an optional predicate pushdown: an iterable of
     :class:`TraceEventKind`/int values.  Records of any other kind are
-    skipped at the store layer by peeking only the leading kind word of
-    the packed row, before the full 15-field decode — equivalent to
-    filtering the unfiltered stream, just cheaper.
+    skipped at the store layer before a :class:`TraceRecord` is built —
+    equivalent to filtering the unfiltered stream, just cheaper.
     """
-    data = Path(path).read_bytes()
-    _version, payload = _parse_store(path, data)
-    reader = _StreamReader(path, payload)
-    (name_len,) = struct.unpack("<I", reader.read(4))
-    reader.read(name_len)  # machine name, skipped
-    (n_records,) = struct.unpack("<Q", reader.read(8))
-    wanted = None if kinds is None else frozenset(int(k) for k in kinds)
-    size = _RECORD.size
-    for _ in range(n_records):
-        raw = reader.read(size)
-        if wanted is not None and \
-                int.from_bytes(raw[:8], "little", signed=True) not in wanted:
-            continue
-        yield TraceRecord(*_RECORD.unpack(raw))
+    yield from StoreStream(path).records(kinds)
 
 
 class StoreStream:
@@ -317,33 +378,29 @@ class StoreStream:
         names, process_names, process_interactive = stream.tail_sections()
 
     ``records()`` must be exhausted before ``tail_sections()``: the
-    payload is decompressed strictly forward, holding one record in
-    memory at a time.
+    payload is decompressed strictly forward, holding one batch of packed
+    records in memory at a time.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         data = self.path.read_bytes()
         self.version, payload = _parse_store(path, data)
-        self._reader = _StreamReader(path, payload)
-        (name_len,) = struct.unpack("<I", self._reader.read(4))
-        self.machine_name = self._reader.read(name_len).decode("utf-8")
-        (self.n_records,) = struct.unpack("<Q", self._reader.read(8))
+        self._reader = _Reader(path, _inflate(path, payload))
+        self.machine_name, self.n_records = _read_prologue(self._reader)
         self._records_left = self.n_records
 
     def records(self, kinds=None):
         """Yield the trace records; supports the same ``kinds`` pushdown
         as :func:`iter_trace_records`."""
         wanted = None if kinds is None else frozenset(int(k) for k in kinds)
-        size = _RECORD.size
         while self._records_left:
-            self._records_left -= 1
-            raw = self._reader.read(size)
-            if wanted is not None and \
-                    int.from_bytes(raw[:8], "little",
-                                   signed=True) not in wanted:
-                continue
-            yield TraceRecord(*_RECORD.unpack(raw))
+            batch = min(self._records_left, _STREAM_BATCH)
+            raw = self._reader.read(batch * RECORD_STRUCT.size)
+            self._records_left -= batch
+            for fields in RECORD_STRUCT.iter_unpack(raw):
+                if wanted is None or fields[0] in wanted:
+                    yield TraceRecord(*fields)
 
     def tail_sections(self):
         """(name records, process names, process interactivity) after the
@@ -352,25 +409,8 @@ class StoreStream:
             raise ValueError(
                 f"{self.path}: records() must be exhausted before "
                 f"tail_sections() ({self._records_left} records unread)")
-        reader = self._reader
-        (n_names,) = struct.unpack("<Q", reader.read(8))
-        names: list[NameRecord] = []
-        for _ in range(n_names):
-            fo_id, pid, is_remote, t = struct.unpack("<qq?q",
-                                                     reader.read(25))
-            path = _read_str(reader)
-            label = _read_str(reader)
-            names.append(NameRecord(
-                fo_id=fo_id, path=path, volume_label=label,
-                volume_is_remote=is_remote, pid=pid, t=t))
-        (n_procs,) = struct.unpack("<Q", reader.read(8))
-        process_names: dict[int, str] = {}
-        process_interactive: dict[int, bool] = {}
-        for _ in range(n_procs):
-            pid, interactive = struct.unpack("<q?", reader.read(9))
-            process_names[pid] = _read_str(reader)
-            process_interactive[pid] = interactive
-        return names, process_names, process_interactive
+        names = _read_names(self._reader)
+        return (names, *_read_processes(self._reader))
 
 
 def save_study(collectors, directory: Union[str, Path]) -> list[Path]:

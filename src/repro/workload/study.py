@@ -94,12 +94,6 @@ class StudyConfig:
     # --profile).  Wall-clock bins ride telemetry only — they never
     # enter archives or perf.json.
     profile_enabled: bool = False
-    # Batched hot-path dispatch (repro.nt.tracing.fastbuf / CLI
-    # --no-batched-dispatch to opt out): precomputed handler tables,
-    # columnar record staging, and declined-FastIO IRP reuse.  Archives,
-    # perf.json, metrics, and span logs stay byte-identical on or off
-    # (proven by tests/test_batched_differential.py).
-    batched_dispatch: bool = True
 
 
 @dataclass
@@ -411,8 +405,7 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
                           verifier_enabled=config.verifier_enabled,
                           metrics_interval_seconds=(
                               config.metrics_interval_seconds),
-                          profile_enabled=config.profile_enabled,
-                          batched_dispatch=config.batched_dispatch)
+                          profile_enabled=config.profile_enabled)
     machine = built.machine
     if config.with_network_shares:
         share = Volume(label=f"srv-{built.username}",

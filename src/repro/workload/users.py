@@ -106,8 +106,7 @@ def build_machine(name: str, category_name: str, seed: int,
                   spans_enabled: bool = False,
                   verifier_enabled: bool = False,
                   metrics_interval_seconds: float = 0.0,
-                  profile_enabled: bool = False,
-                  batched_dispatch: bool = True) -> BuiltMachine:
+                  profile_enabled: bool = False) -> BuiltMachine:
     """Construct one traced machine of the given category with content."""
     category = CATEGORY_PROFILES[category_name]
     seeder = np.random.default_rng(seed)
@@ -127,7 +126,6 @@ def build_machine(name: str, category_name: str, seed: int,
         verifier_enabled=verifier_enabled,
         metrics_interval_seconds=metrics_interval_seconds,
         profile_enabled=profile_enabled,
-        batched_dispatch=batched_dispatch,
     )
     machine = Machine(config)
     volume = Volume(

@@ -10,8 +10,8 @@ Markers
     pyproject.toml); select them explicitly with ``pytest -m slow``,
     which CI's profile-smoke job does against the committed
     BENCH_throughput.json baseline.  Correctness tests — including the
-    batched-vs-classic differential harness — are deliberately *not*
-    marked slow: they must run in every tier-1 pass.
+    golden-digest checks — are deliberately *not* marked slow: they must
+    run in every tier-1 pass.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Property tests for the columnar fast record buffer.
+"""Property tests for the columnar record buffer.
 
 Hypothesis-free: each property runs against many seeded-random record
 sequences (``random.Random(seed)``), so a failure reproduces exactly
 from the parametrised seed.  The property under test is always the same
 one the archive format depends on: a record stream staged through
-:class:`FastRecordBuffer` and packed as columnar blocks is
-indistinguishable — byte for byte and record for record — from the same
-stream pushed through the classic :class:`TripleBuffer` dataclass path.
+:class:`FastRecordBuffer` packs to exactly the bytes of an independent
+reference — ``struct.pack("<15q", ...)`` per record — and decodes to
+exactly ``TraceRecord(*row)`` per record.
 """
 
 from __future__ import annotations
@@ -17,17 +17,20 @@ from array import array
 
 import pytest
 
-from repro.nt.tracing.buffers import BUFFER_CAPACITY, TripleBuffer
+from repro.nt.tracing import fastbuf
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.fastbuf import (
+    BUFFER_CAPACITY,
     RECORD_FIELDS,
     FastRecordBuffer,
     pack_block,
     records_from_block,
+    unpack_block,
 )
 from repro.nt.tracing.records import TraceRecord
 from repro.nt.tracing.store import (
     iter_trace_records,
+    load_collector,
     pack_collector,
     save_study,
 )
@@ -51,16 +54,21 @@ def _random_row(rng: random.Random) -> tuple:
     return tuple(fields)
 
 
-def _paired_collectors(rows, capacity):
-    """Feed ``rows`` down both paths; returns (fast, classic) collectors."""
-    fast = TraceCollector("m00")
-    classic = TraceCollector("m00")
-    fbuf = FastRecordBuffer(fast.receive_block, capacity=capacity)
-    tbuf = TripleBuffer(classic.receive, capacity=capacity)
+def _buffered(rows, capacity):
+    """Stage ``rows`` through a buffer; returns (collector, buffer)."""
+    collector = TraceCollector("m00")
+    buf = FastRecordBuffer(collector.receive_block, capacity=capacity)
     for row in rows:
-        fbuf.append_row(row)
-        tbuf.append(TraceRecord(*row))
-    return fast, classic, fbuf, tbuf
+        buf.append_row(row)
+    return collector, buf
+
+
+def _reference_payload(rows) -> bytes:
+    """pack_collector's bytes for a records-only collector named m00,
+    built from the format definition rather than the encoder."""
+    return (struct.pack("<I", 3) + b"m00" + struct.pack("<Q", len(rows))
+            + b"".join(struct.pack("<15q", *row) for row in rows)
+            + struct.pack("<3Q", 0, 0, 0))  # names, processes, snapshots
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -69,47 +77,49 @@ def test_random_streams_round_trip_identically(seed):
     capacity = rng.randrange(1, 48)
     n = rng.randrange(0, capacity * 5)
     rows = [_random_row(rng) for _ in range(n)]
-    fast, classic, fbuf, tbuf = _paired_collectors(rows, capacity)
-    # Pre-drain statistics agree (perf.json depends on these).
-    assert fbuf.records_seen == tbuf.records_seen == n
-    assert fbuf.rotations == tbuf.rotations
-    assert fbuf.active_fill == tbuf.active_fill
-    fbuf.drain()
-    tbuf.drain()
-    assert len(fast) == len(classic) == n
-    assert pack_collector(fast) == pack_collector(classic)
-    # Materialisation yields the very same dataclasses.
-    assert fast.records == classic.records
+    collector, buf = _buffered(rows, capacity)
+    # Pre-drain statistics (perf.json depends on these).
+    assert buf.records_seen == n
+    assert buf.rotations == n // capacity
+    assert buf.active_fill == n % capacity
+    buf.drain()
+    assert len(collector) == n
+    assert pack_collector(collector) == _reference_payload(rows)
+    # Materialisation yields exactly the reference dataclasses.
+    assert collector.records == [TraceRecord(*row) for row in rows]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_archive_round_trip_through_store(seed, tmp_path):
-    """fastbuf -> v3 store encoder -> iter_trace_records == dataclasses."""
+    """fastbuf -> store encoder -> both store decoders == dataclasses."""
     rng = random.Random(100 + seed)
     rows = [_random_row(rng) for _ in range(rng.randrange(1, 400))]
-    fast, classic, fbuf, tbuf = _paired_collectors(rows, capacity=64)
-    fbuf.drain()
-    tbuf.drain()
-    (fast_path,) = save_study([fast], tmp_path / "fast")
-    (classic_path,) = save_study([classic], tmp_path / "classic")
-    assert fast_path.read_bytes() == classic_path.read_bytes()
-    decoded = list(iter_trace_records(fast_path))
-    assert decoded == [TraceRecord(*row) for row in rows]
+    collector, buf = _buffered(rows, capacity=64)
+    buf.drain()
+    (path,) = save_study([collector], tmp_path)
+    expected = [TraceRecord(*row) for row in rows]
+    assert list(iter_trace_records(path)) == expected
+    loaded = load_collector(path)
+    assert len(loaded) == len(rows)
+    assert pack_collector(loaded) == _reference_payload(rows)
+    assert loaded.records == expected
 
 
 @pytest.mark.parametrize("n", (0, 1, BUFFER_CAPACITY - 1, BUFFER_CAPACITY,
                                BUFFER_CAPACITY + 1, 2 * BUFFER_CAPACITY,
                                2 * BUFFER_CAPACITY + 1))
 def test_flush_boundaries_at_default_capacity(n):
-    """Around the 3,000-record block boundary the paths stay in lockstep."""
+    """Around the 3,000-record block boundary, blocks flush when full."""
     rng = random.Random(n)
     rows = [_random_row(rng) for _ in range(n)]
-    fast, classic, fbuf, tbuf = _paired_collectors(rows, BUFFER_CAPACITY)
-    assert fbuf.rotations == tbuf.rotations == n // BUFFER_CAPACITY
-    assert fbuf.active_fill == tbuf.active_fill == n % BUFFER_CAPACITY
-    fbuf.drain()
-    tbuf.drain()
-    assert pack_collector(fast) == pack_collector(classic)
+    collector, buf = _buffered(rows, BUFFER_CAPACITY)
+    assert buf.rotations == n // BUFFER_CAPACITY
+    assert buf.active_fill == n % BUFFER_CAPACITY
+    _records, blocks = collector.record_chunks()
+    assert [len(b) for b in blocks] == \
+        [BUFFER_CAPACITY * RECORD_FIELDS] * (n // BUFFER_CAPACITY)
+    buf.drain()
+    assert pack_collector(collector) == _reference_payload(rows)
 
 
 def test_empty_buffer_edges():
@@ -128,13 +138,17 @@ def test_empty_buffer_edges():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_pack_block_matches_struct_packing(seed):
-    """The little-endian memory-copy fast path equals explicit packing."""
+def test_pack_block_matches_struct_packing(seed, monkeypatch):
+    """The little-endian memory-copy path and the per-row fallback both
+    equal explicit packing, and unpack_block inverts pack_block."""
     rng = random.Random(200 + seed)
     rows = [_random_row(rng) for _ in range(rng.randrange(1, 50))]
     block = array("q")
     for row in rows:
         block.extend(row)
     explicit = b"".join(struct.pack("<15q", *row) for row in rows)
-    assert pack_block(block) == explicit
+    for native in (fastbuf.NATIVE_FAST_PACK, False):
+        monkeypatch.setattr(fastbuf, "NATIVE_FAST_PACK", native)
+        assert pack_block(block) == explicit
+        assert unpack_block(explicit) == block
     assert records_from_block(block) == [TraceRecord(*row) for row in rows]

@@ -180,7 +180,7 @@ class TestUnreplayableRecords:
         # A CREATE with no name record, and a READ on a never-created file
         # object, cannot be reconstructed; both must be accounted for.
         source = TraceCollector("m00-orphans")
-        source.receive([
+        source.records.extend([
             self._record(TraceEventKind.IRP_CREATE, fo_id=100),
             self._record(TraceEventKind.IRP_READ, fo_id=200),
         ])

@@ -265,7 +265,7 @@ class TestChromeExport:
         assert any("does not resolve to a root" in p for p in problems)
 
 
-class TestTripleBufferFlush:
+class TestRecordBufferFlush:
     def test_partial_buffers_reach_collector_exactly_once(
             self, spanned_machine):
         # Satellite: end-of-run drain.  A short run leaves every buffer

@@ -10,6 +10,8 @@ mode must raise ``ValueError`` naming the offending file.
 
 from __future__ import annotations
 
+import random
+import re
 import struct
 import zlib
 
@@ -20,10 +22,10 @@ from repro.nt.tracing.records import NameRecord, TraceRecord
 from repro.nt.tracing.spans import SPAN_RECORDED, SpanRecord
 from repro.nt.tracing.store import (STORE_FORMAT_VERSION,
                                     SUPPORTED_FORMAT_VERSIONS,
-                                    iter_trace_records, load_collector,
-                                    load_study, pack_collector,
-                                    read_store_header, save_collector,
-                                    study_paths)
+                                    StoreStream, iter_trace_records,
+                                    load_collector, load_study,
+                                    pack_collector, read_store_header,
+                                    save_collector, study_paths)
 
 from tests.conftest import collector_state
 
@@ -34,7 +36,7 @@ def _collector(n_records: int = 5) -> TraceCollector:
     collector.receive_name(NameRecord(
         fo_id=1, path="\\docs\\report.doc", volume_label="m00-C",
         volume_is_remote=False, pid=8, t=0))
-    collector.receive([
+    collector.records.extend([
         TraceRecord(kind=3, fo_id=1, pid=8, t_start=i * 100,
                     t_end=i * 100 + 50, status=0, irp_flags=0,
                     offset=i * 4096, length=4096, returned=4096,
@@ -122,6 +124,35 @@ class TestVersioning:
             list(iter_trace_records(v2_path)) == collector.records
 
 
+class TestChunkedDecode:
+    def test_records_straddling_inflate_chunks_decode_exactly(self, tmp_path):
+        # Incompressible fields make the compressed payload span several
+        # of the streaming decoder's input chunks, so records and strings
+        # straddle chunk boundaries at arbitrary offsets.
+        rng = random.Random(7)
+        collector = _collector(n_records=0)
+        collector.records.extend(
+            TraceRecord(*(rng.randrange(-2 ** 63, 2 ** 63)
+                          for _ in range(15)))
+            for _ in range(4_000))
+        for i in range(300):
+            collector.receive_name(NameRecord(
+                fo_id=i, path="\\" + "".join(
+                    rng.choice("abcdefgh") for _ in range(rng.randrange(60))),
+                volume_label="m00-C", volume_is_remote=bool(i % 2), pid=8,
+                t=i))
+        path = tmp_path / "chunked.nttrace"
+        assert save_collector(collector, path) > 3 * (1 << 16)
+        expected = collector_state(collector)
+        assert collector_state(load_collector(path)) == expected
+        stream = StoreStream(path)
+        assert list(stream.records()) == collector.records
+        names, process_names, interactive = stream.tail_sections()
+        assert names == collector.name_records
+        assert process_names == collector.process_names
+        assert interactive == collector.process_interactive
+
+
 class TestCorruption:
     @pytest.fixture
     def saved(self, tmp_path):
@@ -162,6 +193,16 @@ class TestCorruption:
         with pytest.raises(ValueError, match="corrupt compressed payload"):
             load_collector(saved)
 
+    def test_truncated_zlib_stream_rejected(self, tmp_path):
+        # A compressed stream cut before its checksum, under a header
+        # whose length matches what is left.
+        payload = zlib.compress(pack_collector(_collector()), level=6)[:-4]
+        path = tmp_path / "cut.nttrace"
+        path.write_bytes(b"NTTRACE2" + struct.pack("<Q", len(payload))
+                         + payload)
+        with pytest.raises(ValueError, match="corrupt compressed payload"):
+            load_collector(path)
+
     def test_streaming_reader_rejects_mid_record_end(self, tmp_path):
         # A payload that decompresses fine but ends inside the trace
         # record array: re-wrap a truncated packed body in a valid header.
@@ -176,6 +217,57 @@ class TestCorruption:
                          + payload)
         with pytest.raises(ValueError, match="payload ends mid-record"):
             list(iter_trace_records(path))
+
+    def test_every_truncated_payload_names_file(self, tmp_path):
+        # A packed body cut at any byte, re-wrapped in a valid header:
+        # every decoder raises ValueError naming the file, never a bare
+        # struct.error.  The span-less payload ends with the snapshot
+        # count, so every proper prefix is damaged.
+        packed = pack_collector(_collector())
+        snapshots_start = len(packed) - 8
+        path = tmp_path / "short.nttrace"
+        named = re.escape(str(path))
+        for cut in range(len(packed)):
+            _write_payload(path, packed[:cut])
+            with pytest.raises(ValueError, match=named):
+                load_collector(path)
+            if cut < snapshots_start:
+                with pytest.raises(ValueError, match=named):
+                    stream = StoreStream(path)
+                    list(stream.records())
+                    stream.tail_sections()
+
+    @pytest.mark.parametrize("n_stray", range(1, 8))
+    def test_stray_bytes_after_snapshots_name_file(self, tmp_path, n_stray):
+        # Too few bytes to be a span count.
+        path = tmp_path / "stray.nttrace"
+        _write_payload(path, pack_collector(_collector()) + b"\x01" * n_stray)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_collector(path)
+
+    def test_corrupt_string_names_file(self, tmp_path):
+        # The machine name's first byte becomes invalid UTF-8.
+        packed = bytearray(pack_collector(_collector()))
+        packed[4] = 0xFF
+        path = tmp_path / "badname.nttrace"
+        _write_payload(path, bytes(packed))
+        named = re.escape(str(path)) + ".*corrupt string"
+        for decode in (load_collector, read_store_header):
+            with pytest.raises(ValueError, match=named):
+                decode(path)
+
+    def test_stray_bytes_after_span_log_name_file(self, tmp_path):
+        path = tmp_path / "stray.nttrace"
+        _write_payload(path, pack_collector(_spanned_collector()) + b"\x01")
+        with pytest.raises(ValueError,
+                           match=re.escape(str(path)) + ".*stray bytes"):
+            load_collector(path)
+
+
+def _write_payload(path, packed: bytes) -> None:
+    """Wrap a packed collector body in a valid v2 header."""
+    payload = zlib.compress(packed, level=6)
+    path.write_bytes(b"NTTRACE2" + struct.pack("<Q", len(payload)) + payload)
 
 
 def _raises_message(path) -> str:

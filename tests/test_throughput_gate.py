@@ -1,8 +1,8 @@
 """The records/sec regression gate.
 
 ``BENCH_throughput.json`` (committed at the repo root, refreshed by
-``repro profile --json``) is the headline benchmark of the batched hot
-path.  The gate splits the baseline the way the payload does:
+``repro profile --json``) is the headline benchmark of the simulator's
+hot path.  The gate splits the baseline the way the payload does:
 
 * The ``deterministic`` block — record counts and per-bin call counts —
   must match a fresh run *exactly*.  A mismatch means the simulator
@@ -47,7 +47,7 @@ def fresh(baseline):
     config = StudyConfig(
         n_machines=det["machines"], duration_seconds=det["seconds"],
         seed=det["seed"], content_scale=det["scale"],
-        profile_enabled=True, batched_dispatch=det["batched_dispatch"])
+        profile_enabled=True)
     begin = perf_counter()
     result = run_study(config)
     wall = perf_counter() - begin
@@ -106,8 +106,8 @@ def test_committed_baseline_is_current_format(baseline):
     """The committed file carries everything the slow gate needs."""
     assert baseline["format"] == "nt-throughput-1"
     det = baseline["deterministic"]
-    for key in ("machines", "seconds", "seed", "scale", "batched_dispatch",
-                "records", "bin_calls"):
+    for key in ("machines", "seconds", "seed", "scale", "records",
+                "bin_calls"):
         assert key in det, key
     assert baseline["calibration_seconds"] > 0
     assert det["bin_calls"]["trace.filter"] > 0

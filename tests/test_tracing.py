@@ -1,5 +1,5 @@
 """Tests for the tracing layer: the 54 event kinds, record contents,
-triple buffering, name records, and snapshots."""
+record buffering, name records, and snapshots."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.common.flags import CreateDisposition, FileAccess
 from repro.nt.fs.volume import Volume
 from repro.nt.io.fastio import FastIoOp
 from repro.nt.io.irp import Irp, IrpMajor, IrpMinor
-from repro.nt.tracing.buffers import BUFFER_CAPACITY, TripleBuffer
+from repro.nt.tracing.fastbuf import BUFFER_CAPACITY, FastRecordBuffer
 from repro.nt.tracing.records import (
     N_EVENT_KINDS,
     TraceEventKind,
@@ -86,43 +86,40 @@ class TestTraceRecord:
             record.kind = 5
 
 
-class TestTripleBuffer:
+class TestFastRecordBuffer:
+    ROW = (0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+
     def test_flushes_on_capacity(self):
         flushed = []
-        buf = TripleBuffer(lambda batch: flushed.append(list(batch)),
-                           capacity=3)
-        record = TraceRecord(0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        buf = FastRecordBuffer(flushed.append, capacity=3)
         for _ in range(7):
-            buf.append(record)
+            buf.append_row(self.ROW)
         assert len(flushed) == 2
-        assert all(len(b) == 3 for b in flushed)
+        assert all(len(b) == 3 * len(self.ROW) for b in flushed)
         assert buf.active_fill == 1
 
     def test_drain_flushes_partial(self):
         flushed = []
-        buf = TripleBuffer(lambda batch: flushed.append(list(batch)),
-                           capacity=100)
-        record = TraceRecord(0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-        buf.append(record)
+        buf = FastRecordBuffer(flushed.append, capacity=100)
+        buf.append_row(self.ROW)
         buf.drain()
-        assert len(flushed) == 1 and len(flushed[0]) == 1
+        assert [list(b) for b in flushed] == [list(self.ROW)]
         assert buf.active_fill == 0
 
     def test_default_capacity_matches_paper(self):
-        buf = TripleBuffer(lambda batch: None)
+        buf = FastRecordBuffer(lambda block: None)
         assert buf.capacity == BUFFER_CAPACITY == 3000
 
     def test_counts_records(self):
-        buf = TripleBuffer(lambda batch: None, capacity=2)
-        record = TraceRecord(0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        buf = FastRecordBuffer(lambda block: None, capacity=2)
         for _ in range(5):
-            buf.append(record)
+            buf.append_row(self.ROW)
         assert buf.records_seen == 5
         assert buf.rotations == 2
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            TripleBuffer(lambda b: None, capacity=0)
+            FastRecordBuffer(lambda block: None, capacity=0)
 
 
 class TestFilterDriver:

@@ -1,9 +1,36 @@
 """Tests for the warehouse (fact table) and instance reconstruction."""
 
+from array import array
+
 import numpy as np
 
-from repro.analysis.warehouse import pack_id
+from repro.analysis.warehouse import TraceWarehouse, pack_id
+from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.records import TraceEventKind
+from repro.nt.tracing.store import load_study, save_study
+
+
+def _columns_from_records(collectors):
+    """The fact table built record by record from dataclass records."""
+    cols = {name: [] for name in TraceWarehouse.COLUMNS}
+    for midx, collector in enumerate(collectors):
+        for r in collector.records:
+            cols["machine_idx"].append(midx)
+            for name in TraceWarehouse.COLUMNS[1:]:
+                value = getattr(r, name)
+                if name in ("fo_id", "pid"):
+                    value = pack_id(midx, value)
+                cols[name].append(value)
+    return {name: np.array(values, dtype=np.int64)
+            for name, values in cols.items()}
+
+
+def _assert_columns_equal(wh, expected):
+    for name in TraceWarehouse.COLUMNS:
+        column = getattr(wh, name)
+        assert column.dtype == np.int64, name
+        assert column.flags["C_CONTIGUOUS"], name
+        assert np.array_equal(column, expected[name]), name
 
 
 class TestWarehouse:
@@ -58,6 +85,47 @@ class TestWarehouse:
         m = wh.mask_kind(TraceEventKind.IRP_CREATE)
         assert m.sum() > 0
         assert np.all(wh.kind[m] == int(TraceEventKind.IRP_CREATE))
+
+
+class TestRecordColumns:
+    """The fact table reads staged record blocks in place; it must equal
+    the table built record by record from the same records."""
+
+    def test_archive_blocks_equal_record_by_record(self, small_study,
+                                                   tmp_path):
+        save_study(small_study.collectors, tmp_path)
+        staged = load_study(tmp_path)
+        wh = TraceWarehouse(staged)
+        _assert_columns_equal(wh, _columns_from_records(load_study(tmp_path)))
+        assert wh.n_records == small_study.total_records
+        # Building the table materialised no dataclass records.
+        assert all(c.record_chunks()[0] == [] for c in staged)
+
+    def test_materialised_records_then_blocks_keep_order(self):
+        def block(first, count):
+            return array("q", [first + i * 100 + f
+                               for i in range(count) for f in range(15)])
+
+        early = TraceCollector("early")
+        early.receive_block(block(1, 2))
+        assert len(early.records) == 2  # materialised before more arrive
+        early.receive_block(block(1_000, 3))
+        staged = TraceCollector("staged")
+        staged.receive_block(block(5_000, 4))
+        collectors = [staged, TraceCollector("empty"), early]
+        wh = TraceWarehouse(collectors)
+        assert wh.machine_idx.tolist() == [0] * 4 + [2] * 5
+        assert wh.kind.tolist() == (
+            [5_000 + i * 100 for i in range(4)]
+            + [1 + i * 100 for i in range(2)]
+            + [1_000 + i * 100 for i in range(3)])
+        _assert_columns_equal(wh, _columns_from_records(collectors))
+
+    def test_empty_warehouse(self):
+        wh = TraceWarehouse([])
+        assert wh.n_records == 0
+        for name in TraceWarehouse.COLUMNS:
+            assert getattr(wh, name).shape == (0,)
 
 
 class TestInstances:
