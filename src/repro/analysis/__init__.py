@@ -81,7 +81,6 @@ from repro.analysis.openmetrics import (
 )
 from repro.analysis.streaming import (
     Digest,
-    MachineFold,
     StatsSketch,
     fold_collector,
     fold_store_file,
@@ -149,7 +148,6 @@ __all__ = [
     "validate_openmetrics",
     "write_openmetrics",
     "Digest",
-    "MachineFold",
     "StatsSketch",
     "fold_collector",
     "fold_store_file",

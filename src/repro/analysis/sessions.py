@@ -56,6 +56,28 @@ _CONTROL_KINDS = frozenset(int(k) for k in (
     TraceEventKind.FASTIO_UNLOCK_ALL_BY_KEY,
 ))
 
+# build_instance's per-event dispatch values, as plain ints.
+_CREATE = int(TraceEventKind.IRP_CREATE)
+_CLEANUP = int(TraceEventKind.IRP_CLEANUP)
+_CLOSE = int(TraceEventKind.IRP_CLOSE)
+_FLUSH_BUFFERS = int(TraceEventKind.IRP_FLUSH_BUFFERS)
+_SET_INFORMATION = int(TraceEventKind.IRP_SET_INFORMATION)
+_READ_KINDS = frozenset((int(TraceEventKind.IRP_READ),
+                         int(TraceEventKind.FASTIO_READ)))
+_FASTIO_DATA_KINDS = frozenset((int(TraceEventKind.FASTIO_READ),
+                                int(TraceEventKind.FASTIO_WRITE)))
+_DATA_KINDS = _READ_KINDS | frozenset((int(TraceEventKind.IRP_WRITE),
+                                       int(TraceEventKind.FASTIO_WRITE)))
+_SET_DISPOSITION = int(SetInformationClass.DISPOSITION)
+_SET_END_OF_FILE = int(SetInformationClass.END_OF_FILE)
+_DIRECTORY_FILE = int(CreateOptions.DIRECTORY_FILE)
+
+# The fields of one build_instance event tuple, in order (trace record
+# field names).
+EVENT_FIELDS = ("kind", "t_start", "t_end", "status", "irp_flags", "offset",
+                "length", "returned", "file_size", "disposition", "options",
+                "attributes", "info", "pid")
+
 
 @dataclass
 class DataOp:
@@ -247,14 +269,8 @@ def build_instances(wh: "TraceWarehouse") -> list[Instance]:
 
 def _build_one(wh: "TraceWarehouse", gid: int,
                rows: np.ndarray) -> Optional[Instance]:
-    events = list(zip(
-        wh.kind[rows].tolist(), wh.t_start[rows].tolist(),
-        wh.t_end[rows].tolist(), wh.status[rows].tolist(),
-        wh.irp_flags[rows].tolist(), wh.offset[rows].tolist(),
-        wh.length[rows].tolist(), wh.returned[rows].tolist(),
-        wh.file_size[rows].tolist(), wh.disposition[rows].tolist(),
-        wh.options[rows].tolist(), wh.attributes[rows].tolist(),
-        wh.info[rows].tolist(), wh.pid[rows].tolist()))
+    events = list(zip(*(getattr(wh, name)[rows].tolist()
+                        for name in EVENT_FIELDS)))
     fdim = wh.file_for(gid)
     file_info = ((fdim.path, fdim.extension, fdim.volume_label,
                   fdim.is_remote) if fdim is not None else None)
@@ -277,16 +293,15 @@ def build_instance(machine_idx: int, fo_id: int, events,
     records) both call it — which is what makes the streaming sketch
     reconcile *exactly* against the materialized warehouse.
 
-    ``events`` are ``(kind, t_start, t_end, status, irp_flags, offset,
-    length, returned, file_size, disposition, options, attributes, info,
-    pid)`` tuples, sorted by ``t_start`` with a *stable* sort (ties keep
-    collector append order).  ``file_info`` is ``(path, extension,
-    volume_label, is_remote)`` or None; ``process_lookup(pid)`` returns
-    ``(name, interactive)`` or None.
+    ``events`` are :data:`EVENT_FIELDS` sequences (tuples or lists),
+    sorted by ``t_start`` with a *stable* sort (ties keep collector append
+    order).  ``file_info`` is ``(path, extension, volume_label,
+    is_remote)`` or None; ``process_lookup(pid)`` returns ``(name,
+    interactive)`` or None.
     """
     create = None
     for ev in events:
-        if ev[0] == int(TraceEventKind.IRP_CREATE):
+        if ev[0] == _CREATE:
             create = ev
             break
     if create is None:
@@ -313,47 +328,41 @@ def build_instance(machine_idx: int, fo_id: int, events,
         attributes=create[11],
         file_size_open=create[8],
     )
-    inst.is_directory_like = bool(inst.options & CreateOptions.DIRECTORY_FILE)
+    inst.is_directory_like = bool(inst.options & _DIRECTORY_FILE)
 
     raw_ops: list[DataOp] = []
     has_direct_data = False
+    file_size_max = inst.file_size_max
     for (k, t, t_end, status, irp_flags, offset, length, returned,
          file_size, _disposition, _options, _attributes, info,
          _pid) in events:
-        if k == int(TraceEventKind.IRP_CREATE):
+        if k == _CREATE:
             continue
-        inst.file_size_max = max(inst.file_size_max, file_size)
-        if k == int(TraceEventKind.IRP_CLEANUP):
-            inst.cleanup_t = t
-        elif k == int(TraceEventKind.IRP_CLOSE):
-            inst.close_t = t
-        elif k in (int(TraceEventKind.IRP_READ),
-                   int(TraceEventKind.FASTIO_READ),
-                   int(TraceEventKind.IRP_WRITE),
-                   int(TraceEventKind.FASTIO_WRITE)):
-            is_read = k in (int(TraceEventKind.IRP_READ),
-                            int(TraceEventKind.FASTIO_READ))
-            is_fastio = k in (int(TraceEventKind.FASTIO_READ),
-                              int(TraceEventKind.FASTIO_WRITE))
+        if file_size > file_size_max:
+            file_size_max = file_size
+        if k in _DATA_KINDS:
             is_paging = bool(irp_flags & 0x42)
             if not is_paging:
                 has_direct_data = True
-            raw_ops.append(DataOp(
-                t=t, is_read=is_read, offset=offset,
-                returned=returned, is_fastio=is_fastio,
-                duration=t_end - t,
-                is_paging=is_paging))
-        elif k == int(TraceEventKind.IRP_FLUSH_BUFFERS):
+            raw_ops.append(DataOp(t, k in _READ_KINDS, offset, returned,
+                                  k in _FASTIO_DATA_KINDS, t_end - t,
+                                  is_paging))
+        elif k == _CLEANUP:
+            inst.cleanup_t = t
+        elif k == _CLOSE:
+            inst.close_t = t
+        elif k == _FLUSH_BUFFERS:
             inst.n_flushes += 1
-        elif k == int(TraceEventKind.IRP_SET_INFORMATION):
+        elif k == _SET_INFORMATION:
             inst.n_control_ops += 1
-            if info == int(SetInformationClass.DISPOSITION) \
+            if info == _SET_DISPOSITION \
                     and length == 1 and status < 0xC0000000:
                 inst.explicit_delete_t = t
-            elif info == int(SetInformationClass.END_OF_FILE):
+            elif info == _SET_END_OF_FILE:
                 inst.truncated_to = length
         elif k in _CONTROL_KINDS:
             inst.n_control_ops += 1
+    inst.file_size_max = file_size_max
 
     # §3.3 filtering: keep paging ops only when they are the real access.
     for op in raw_ops:

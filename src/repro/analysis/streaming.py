@@ -6,16 +6,22 @@ streaming counterpart of the materialized :class:`TraceWarehouse`: a
 :class:`StatsSketch` of deterministic, *mergeable* per-machine partial
 aggregates (counts, byte sums, min/max, the exact log₂ latency
 histograms from :mod:`repro.nt.perf`, and a deterministic mergeable
-quantile digest for the figure 13/14 bands) produced by one-pass folds
-over :class:`~repro.nt.tracing.store.StoreStream` /
-:func:`~repro.nt.tracing.store.iter_trace_records`.
+quantile digest for the figure 13/14 bands).
+
+A fold takes one machine's trace as a single (n, 15) int64 array: a live
+collector's staged record blocks read in place, or an archive's record
+section decoded whole by
+:meth:`~repro.nt.tracing.store.StoreStream.record_block`.  Record-level
+aggregates are whole-column numpy updates; instances come from one
+stable sort of the rows by (file object, start time).  No per-record
+Python object is built.
 
 Three properties carry the design:
 
-* **Bounded memory.**  A fold holds one machine's per-file-object event
-  buffers at a time; after :meth:`MachineFold.finish` only the sketch's
-  fixed-size digests and one small integer row per machine remain.  Peak
-  memory is flat in machine count.
+* **Bounded memory.**  A fold holds one machine's record array and one
+  batch of its event lists at a time; once the machine is folded only
+  the sketch's fixed-size digests and one small integer row per machine
+  remain.  Peak memory is flat in machine count.
 * **Order-independent, byte-identical merges.**  Every fleet-level
   aggregate is a commutative integer accumulation (sparse bucket adds,
   min/max, keep-smallest-K samples); per-machine rows live under
@@ -35,10 +41,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from typing import Optional, Union, TYPE_CHECKING
 
 import numpy as np
 
+from repro.analysis.sessions import EVENT_FIELDS, build_instance
+from repro.analysis.warehouse import RECORD_COLUMNS, block_rows, record_rows
 from repro.common.clock import (
     TICKS_PER_MICROSECOND,
     TICKS_PER_MILLISECOND,
@@ -58,6 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.sessions import Instance
     from repro.analysis.warehouse import TraceWarehouse
     from repro.nt.tracing.collector import TraceCollector
+    from repro.nt.tracing.records import NameRecord
     from repro.workload.study import StudyResult
 
 SKETCH_FORMAT = "nt-sketch-1"
@@ -73,6 +83,17 @@ _KIND_TO_RTYPE = {
 _READ_KINDS = frozenset((int(TraceEventKind.IRP_READ),
                          int(TraceEventKind.FASTIO_READ)))
 _KIND_CREATE = int(TraceEventKind.IRP_CREATE)
+
+# Columns of a record row (the staged block layout), and the columns that
+# make up one build_instance event.
+_KIND, _FO_ID, _T_START, _T_END, _LENGTH, _RETURNED = (
+    RECORD_COLUMNS.index(name) for name in
+    ("kind", "fo_id", "t_start", "t_end", "length", "returned"))
+_EVENT_COLUMNS = [RECORD_COLUMNS.index(name) for name in EVENT_FIELDS]
+# Rows turned into build_instance event lists at a time (whole file
+# objects per batch), so a machine's trace is never resident as Python
+# objects all at once.
+_EVENT_BATCH = 1 << 12
 
 _USAGES = ("read-only", "write-only", "read-write")
 _PATTERNS = ("whole", "sequential", "random")
@@ -148,6 +169,28 @@ class Digest:
         if value > self.vmax:
             self.vmax = value
 
+    def add_array(self, values: np.ndarray) -> None:
+        """:meth:`add` every value of an integer array with weight 1.
+
+        The comb is applied once per distinct value, with the same integer
+        arithmetic, so the digest equals value-by-value adds.
+        """
+        if not len(values):
+            return
+        distinct, counts = np.unique(values, return_counts=True)
+        buckets = self.buckets
+        for value, n in zip(distinct.tolist(), counts.tolist()):
+            idx = digest_bucket(max(value, 0))
+            buckets[idx] = buckets.get(idx, 0) + n
+        self.n += len(values)
+        self.weight += len(values)
+        lo = max(int(distinct[0]), 0)
+        hi = max(int(distinct[-1]), 0)
+        if self.vmin < 0 or lo < self.vmin:
+            self.vmin = lo
+        if hi > self.vmax:
+            self.vmax = hi
+
     def merge(self, other: "Digest") -> None:
         for idx, w in other.buckets.items():
             self.buckets[idx] = self.buckets.get(idx, 0) + w
@@ -216,13 +259,24 @@ class Digest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Digest":
+        """Decode :meth:`to_dict`; ``ValueError`` unless the bucket weights
+        are non-negative integers summing to ``w``."""
         d = cls()
         d.buckets = {int(k): v for k, v in doc["b"].items()}
         d.n = doc["n"]
         d.weight = doc["w"]
         d.vmin = doc["min"]
         d.vmax = doc["max"]
+        weights = list(d.buckets.values())
+        if not _counts_valid(weights) or sum(weights) != d.weight:
+            raise ValueError(
+                f"malformed digest: its {len(weights)} bucket weights are "
+                f"not non-negative integers summing to w={d.weight!r}")
         return d
+
+
+def _counts_valid(counts: list) -> bool:
+    return all(isinstance(c, int) and c >= 0 for c in counts)
 
 
 def _hist_to_dict(h: LatencyHistogram) -> dict:
@@ -230,15 +284,32 @@ def _hist_to_dict(h: LatencyHistogram) -> dict:
 
 
 def _hist_from_dict(name: str, doc: dict) -> LatencyHistogram:
+    """Decode one histogram; ``ValueError`` unless it has
+    ``N_BUCKETS + 1`` non-negative integer buckets summing to its count."""
     h = LatencyHistogram(name)
     h.count = doc["count"]
     h.sum_ticks = doc["sum_ticks"]
     h.max_ticks = doc["max_ticks"]
     h.bucket_counts = list(doc["bucket_counts"])
+    if (len(h.bucket_counts) != N_BUCKETS + 1
+            or not _counts_valid(h.bucket_counts)
+            or sum(h.bucket_counts) != h.count):
+        raise ValueError(
+            f"malformed histogram {name}: {len(h.bucket_counts)} buckets "
+            f"{h.bucket_counts} (need {N_BUCKETS + 1} non-negative counts "
+            f"summing to count={h.count!r})")
     return h
 
 
+def _hist_check_mergeable(a: LatencyHistogram, b: LatencyHistogram) -> None:
+    if len(a.bucket_counts) != len(b.bucket_counts):
+        raise ValueError(
+            f"cannot merge histogram {b.name} ({len(b.bucket_counts)} "
+            f"buckets) into {a.name} ({len(a.bucket_counts)} buckets)")
+
+
 def _hist_merge(a: LatencyHistogram, b: LatencyHistogram) -> None:
+    _hist_check_mergeable(a, b)
     a.count += b.count
     a.sum_ticks += b.sum_ticks
     if b.max_ticks > a.max_ticks:
@@ -305,25 +376,44 @@ class StatsSketch:
 
     # -- folding ------------------------------------------------------- #
 
-    def _update_record(self, kind: int, t_start: int, t_end: int,
-                       length: int, returned: int) -> None:
-        self.n_records += 1
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-        if self.t_min < 0 or t_start < self.t_min:
-            self.t_min = t_start
-        if t_end > self.t_max:
-            self.t_max = t_end
-        rtype = _KIND_TO_RTYPE.get(kind)
-        if rtype is not None:
-            self.latency[rtype].observe(t_end - t_start)
-            self.req_size[rtype].add(length)
-            if kind in _READ_KINDS:
-                self.record_bytes_read += returned
+    def _fold_columns(self, kind: np.ndarray, t_start: np.ndarray,
+                      t_end: np.ndarray, length: np.ndarray,
+                      returned: np.ndarray) -> None:
+        """Fold trace records' record-level aggregates, given as int64
+        columns.
+
+        Every aggregate is an order-independent integer sum, min or max,
+        so whole-column updates give the integers a record-by-record pass
+        gives.
+        """
+        if not len(kind):
+            return
+        self.n_records += len(kind)
+        kinds, counts = np.unique(kind, return_counts=True)
+        kinds = kinds.tolist()
+        for k, n in zip(kinds, counts.tolist()):
+            self.kind_counts[k] = self.kind_counts.get(k, 0) + n
+        t_min = int(t_start.min())
+        if self.t_min < 0 or t_min < self.t_min:
+            self.t_min = t_min
+        self.t_max = max(self.t_max, int(t_end.max()))
+        for k in kinds:
+            rtype = _KIND_TO_RTYPE.get(k)
+            if rtype is None:
+                continue
+            mask = kind == k
+            self.latency[rtype].observe_array(t_end[mask] - t_start[mask])
+            self.req_size[rtype].add_array(length[mask])
+            nbytes = int(returned[mask].sum())
+            if k in _READ_KINDS:
+                self.record_bytes_read += nbytes
             else:
-                self.record_bytes_written += returned
-        elif kind == _KIND_CREATE:
-            b = t_start // self.burst_bin_ticks
-            self.bursts[b] = self.bursts.get(b, 0) + 1
+                self.record_bytes_written += nbytes
+        bins, counts = np.unique(
+            t_start[kind == _KIND_CREATE] // self.burst_bin_ticks,
+            return_counts=True)
+        for b, n in zip(bins.tolist(), counts.tolist()):
+            self.bursts[b] = self.bursts.get(b, 0) + n
 
     def _fold_instances(self, machine_idx: int, name: str, category: str,
                         n_records: int,
@@ -438,6 +528,8 @@ class StatsSketch:
         if overlap:
             raise ValueError(
                 f"shards overlap on machine indices {sorted(overlap)}")
+        for rt in REQUEST_TYPES:
+            _hist_check_mergeable(self.latency[rt], other.latency[rt])
         self.n_records += other.n_records
         if other.t_min >= 0 and (self.t_min < 0 or other.t_min < self.t_min):
             self.t_min = other.t_min
@@ -600,89 +692,85 @@ class StatsSketch:
 
 
 # --------------------------------------------------------------------- #
-# Producers: one-pass folds.
+# Producers: one array fold per machine.
 
-class MachineFold:
-    """One-pass fold of a single machine's trace into a sketch.
+def _file_object_events(rows: np.ndarray):
+    """Yield ``(fo_id, events)`` per file object of an (n, 15) record
+    array, in fo_id order, ``events`` being :func:`build_instance` lists.
 
-    Records arrive in trace order via :meth:`add_record`; per-file-object
-    event tuples are buffered (bounded by one machine's trace), then
-    :meth:`finish` rebuilds the instances with the shared
-    :func:`~repro.analysis.sessions.build_instance`, folds them, and
-    drops the buffers.
+    One stable sort on (fo_id, t_start) groups the rows, so start-time
+    ties keep collector append order as in the warehouse's lexsort.
     """
+    if not len(rows):
+        return
+    order = np.lexsort((rows[:, _T_START], rows[:, _FO_ID]))
+    fo_ids = rows[order, _FO_ID]
+    bounds = [0, *(np.flatnonzero(fo_ids[1:] != fo_ids[:-1]) + 1).tolist(),
+              len(rows)]
+    n_groups = len(bounds) - 1
+    first = 0
+    while first < n_groups:
+        base = bounds[first]
+        last = max(bisect_right(bounds, base + _EVENT_BATCH) - 1, first + 1)
+        events = rows[np.ix_(order[base:bounds[last]],
+                             _EVENT_COLUMNS)].tolist()
+        for fo_id, lo, hi in zip(fo_ids[bounds[first:last]].tolist(),
+                                 bounds[first:last],
+                                 bounds[first + 1:last + 1]):
+            yield fo_id, events[lo - base:hi - base]
+        first = last
 
-    def __init__(self, sketch: StatsSketch, machine_idx: int,
-                 name: str, category: str) -> None:
-        self.sketch = sketch
-        self.machine_idx = machine_idx
-        self.name = name
-        self.category = category
-        self.n_records = 0
-        self._events: dict[int, list[tuple]] = {}
 
-    def add_record(self, r) -> None:
-        self.n_records += 1
-        self.sketch._update_record(r.kind, r.t_start, r.t_end,
-                                   r.length, r.returned)
-        self._events.setdefault(r.fo_id, []).append(
-            (r.kind, r.t_start, r.t_end, r.status, r.irp_flags, r.offset,
-             r.length, r.returned, r.file_size, r.disposition, r.options,
-             r.attributes, r.info, r.pid))
+def _fold_machine(sketch: StatsSketch, machine_idx: int, name: str,
+                  category: str, rows: np.ndarray,
+                  name_records: list["NameRecord"],
+                  process_names: dict[int, str],
+                  process_interactive: dict[int, bool]) -> None:
+    """Fold one machine's trace, given as an (n, 15) int64 record array;
+    each file object's events go to the shared
+    :func:`~repro.analysis.sessions.build_instance`."""
+    # Last name record per file object wins, as in the warehouse.
+    file_info = {nr.fo_id: (nr.path, extension_of(nr.path),
+                            nr.volume_label, nr.volume_is_remote)
+                 for nr in name_records}
 
-    def finish(self, name_records, process_names,
-               process_interactive) -> None:
-        from repro.analysis.sessions import build_instance
+    def process_lookup(pid: int):
+        pname = process_names.get(pid)
+        if pname is None:
+            return None
+        return (pname, process_interactive.get(pid, False))
 
-        # Last name record per file object wins, as in the warehouse.
-        file_info: dict[int, tuple] = {}
-        for nr in name_records:
-            file_info[nr.fo_id] = (nr.path, extension_of(nr.path),
-                                   nr.volume_label, nr.volume_is_remote)
-
-        def process_lookup(pid: int):
-            pname = process_names.get(pid)
-            if pname is None:
-                return None
-            return (pname, process_interactive.get(pid, False))
-
-        instances: list["Instance"] = []
-        for fo_id, events in self._events.items():
-            # Stable sort by t_start: ties keep collector append order,
-            # exactly like the warehouse's lexsort.
-            events.sort(key=lambda e: e[1])
-            inst = build_instance(self.machine_idx, fo_id, events,
-                                  file_info.get(fo_id), process_lookup)
-            if inst is not None:
-                instances.append(inst)
-        instances.sort(key=lambda s: (s.open_t, s.fo_id))
-        self._events = {}
-        self.sketch._fold_instances(self.machine_idx, self.name,
-                                    self.category, self.n_records,
-                                    instances)
+    instances: list["Instance"] = []
+    for fo_id, events in _file_object_events(rows):
+        inst = build_instance(machine_idx, fo_id, events,
+                              file_info.get(fo_id), process_lookup)
+        if inst is not None:
+            instances.append(inst)
+    instances.sort(key=lambda s: (s.open_t, s.fo_id))
+    sketch._fold_instances(machine_idx, name, category, len(rows),
+                           instances)
+    sketch._fold_columns(rows[:, _KIND], rows[:, _T_START], rows[:, _T_END],
+                         rows[:, _LENGTH], rows[:, _RETURNED])
 
 
 def fold_collector(sketch: StatsSketch, machine_idx: int, category: str,
                    collector: "TraceCollector") -> None:
     """Fold one in-memory collector into the sketch (streaming campaign
-    path: the collector is discarded right after)."""
-    fold = MachineFold(sketch, machine_idx, collector.machine_name,
-                       category)
-    for r in collector.records:
-        fold.add_record(r)
-    fold.finish(collector.name_records, collector.process_names,
-                collector.process_interactive)
+    path: the collector is discarded right after).  Its staged record
+    blocks are read in place, never materialised."""
+    _fold_machine(sketch, machine_idx, collector.machine_name, category,
+                  record_rows(collector), collector.name_records,
+                  collector.process_names, collector.process_interactive)
 
 
 def fold_store_file(sketch: StatsSketch, machine_idx: int, category: str,
                     path: Union[str, "Path"]) -> None:
     """Fold one archived ``.nttrace`` file, never materialising it."""
     stream = StoreStream(path)
-    fold = MachineFold(sketch, machine_idx, stream.machine_name, category)
-    for r in stream.records():
-        fold.add_record(r)
+    rows = block_rows(stream.record_block())
     names, process_names, process_interactive = stream.tail_sections()
-    fold.finish(names, process_names, process_interactive)
+    _fold_machine(sketch, machine_idx, stream.machine_name, category, rows,
+                  names, process_names, process_interactive)
 
 
 def sketch_from_study(result: "StudyResult",
@@ -724,10 +812,8 @@ def sketch_from_warehouse(wh: "TraceWarehouse",
     per_machine_records = np.bincount(
         wh.machine_idx, minlength=n_machines) if wh.n_records \
         else np.zeros(n_machines, dtype=np.int64)
-    for kind, t_start, t_end, length, returned in zip(
-            wh.kind.tolist(), wh.t_start.tolist(), wh.t_end.tolist(),
-            wh.length.tolist(), wh.returned.tolist()):
-        sketch._update_record(kind, t_start, t_end, length, returned)
+    sketch._fold_columns(wh.kind, wh.t_start, wh.t_end, wh.length,
+                         wh.returned)
     # Instance-level stats: wh.instances is sorted by (machine, open_t),
     # so per-machine groups preserve the order the streaming fold uses.
     groups: dict[int, list] = {idx: [] for idx in range(n_machines)}

@@ -34,25 +34,29 @@ def pack_id(machine_idx: int, local_id: int) -> int:
 
 # The trace record's fields in TraceRecord order, which is also the order
 # of a staged block's row.
-_RECORD_COLUMNS = ("kind", "fo_id", "pid", "t_start", "t_end", "status",
-                   "irp_flags", "offset", "length", "returned", "file_size",
-                   "disposition", "options", "attributes", "info")
-_N_FIELDS = len(_RECORD_COLUMNS)
-_record_fields = attrgetter(*_RECORD_COLUMNS)
+RECORD_COLUMNS = ("kind", "fo_id", "pid", "t_start", "t_end", "status",
+                  "irp_flags", "offset", "length", "returned", "file_size",
+                  "disposition", "options", "attributes", "info")
+_N_FIELDS = len(RECORD_COLUMNS)
+_record_fields = attrgetter(*RECORD_COLUMNS)
 
 
-def _record_rows(collector: TraceCollector) -> np.ndarray:
+def block_rows(block) -> np.ndarray:
+    """A staged record block viewed in place as an (n, 15) int64 array."""
+    return np.frombuffer(block, dtype=np.int64).reshape(-1, _N_FIELDS)
+
+
+def record_rows(collector: TraceCollector) -> np.ndarray:
     """A collector's trace records as an (n, 15) int64 array.
 
-    Staged blocks are read in place, so loading a warehouse allocates no
-    per-record objects; only records that analysis already materialised
-    are converted back field by field.
+    Staged blocks are read in place, so loading a warehouse or folding a
+    sketch allocates no per-record objects; only records that analysis
+    already materialised are converted back field by field.
     """
     records, blocks = collector.record_chunks()
     parts = [np.array([_record_fields(r) for r in records],
                       dtype=np.int64).reshape(-1, _N_FIELDS)]
-    parts.extend(np.frombuffer(block, dtype=np.int64)
-                 .reshape(-1, _N_FIELDS) for block in blocks)
+    parts.extend(block_rows(block) for block in blocks)
     return np.concatenate(parts)
 
 
@@ -82,19 +86,19 @@ class ProcessDimension:
 class TraceWarehouse:
     """Columnar trace fact table with dimension lookups."""
 
-    COLUMNS = ("machine_idx",) + _RECORD_COLUMNS
+    COLUMNS = ("machine_idx",) + RECORD_COLUMNS
 
     def __init__(self, collectors: Sequence[TraceCollector],
                  machine_categories: Optional[dict[str, str]] = None) -> None:
         self.machine_names = [c.machine_name for c in collectors]
         self.machine_categories = machine_categories or {}
         self._collectors = list(collectors)
-        tables = [_record_rows(c) for c in collectors]
+        tables = [record_rows(c) for c in collectors]
         rows = (np.concatenate(tables) if tables
                 else np.zeros((0, _N_FIELDS), dtype=np.int64))
         self.machine_idx = np.repeat(np.arange(len(tables), dtype=np.int64),
                                      [len(t) for t in tables])
-        for j, name in enumerate(_RECORD_COLUMNS):
+        for j, name in enumerate(RECORD_COLUMNS):
             setattr(self, name, rows[:, j].copy())
         self.fo_id = pack_id(self.machine_idx, self.fo_id)
         self.pid = pack_id(self.machine_idx, self.pid)

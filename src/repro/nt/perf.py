@@ -10,10 +10,11 @@ monotonic :class:`Counter`\\ s and fixed-bucket log-scale
 manager, cache manager, lazy writer, VM manager, redirector and trace
 filter.
 
-Everything is pure python with no dependencies, deterministic (counter
-values derive only from simulated events, never wall-clock time), and
-near-free when disabled: each instrumentation site is gated on a single
-``enabled`` attribute check.
+Everything is deterministic (counter values derive only from simulated
+events, never wall-clock time) and near-free when disabled: each
+instrumentation site is gated on a single ``enabled`` attribute check.
+The instrumentation path is pure python; only the whole-array histogram
+update (:meth:`LatencyHistogram.observe_array`) uses numpy.
 
 The counters double as a correctness cross-check: the registry's
 FastIO/IRP dispatch counts must agree with what the trace warehouse later
@@ -26,6 +27,8 @@ import json
 from bisect import bisect_left
 from typing import Iterable, Mapping, Optional
 
+import numpy as np
+
 from repro.common.clock import TICKS_PER_MICROSECOND
 
 # Histogram buckets are powers of two in microseconds: 1 us, 2 us, 4 us, …
@@ -36,6 +39,7 @@ N_BUCKETS = 24
 BUCKET_EDGES_TICKS: tuple[int, ...] = tuple(
     TICKS_PER_MICROSECOND * (1 << i) for i in range(N_BUCKETS))
 BUCKET_EDGES_MICROS: tuple[int, ...] = tuple(1 << i for i in range(N_BUCKETS))
+_BUCKET_EDGES_ARRAY = np.array(BUCKET_EDGES_TICKS, dtype=np.int64)
 
 
 class PerfSchemaError(ValueError):
@@ -102,6 +106,24 @@ class LatencyHistogram:
         self.sum_ticks += ticks
         if ticks > self.max_ticks:
             self.max_ticks = ticks
+
+    def observe_array(self, ticks: np.ndarray) -> None:
+        """:meth:`observe` every value of an int64 array.
+
+        ``searchsorted(side="left")`` over the integer edges is
+        ``bisect_left``, so the buckets, count, sum and maximum are the
+        integers per-value observation would give.
+        """
+        if not len(ticks):
+            return
+        counts = np.bincount(
+            np.searchsorted(_BUCKET_EDGES_ARRAY, ticks, side="left"),
+            minlength=N_BUCKETS + 1)
+        self.bucket_counts = [have + n for have, n in
+                              zip(self.bucket_counts, counts.tolist())]
+        self.count += len(ticks)
+        self.sum_ticks += int(ticks.sum())
+        self.max_ticks = max(self.max_ticks, int(ticks.max()))
 
     def quantile_micros(self, q: float) -> float:
         """Upper bucket edge (µs) below which a fraction ``q`` of samples

@@ -65,10 +65,10 @@ class TraceCollector:
     def record_chunks(self) -> tuple[list[TraceRecord], list["array"]]:
         """(materialised records, staged blocks), in record order.
 
-        The store encoder packs staged blocks directly and the warehouse
-        reads them in place — neither forces materialisation — so
-        archiving a run or loading it for analysis allocates no
-        per-record dataclasses.
+        The store encoder packs staged blocks directly, and the warehouse
+        and the sketch fold read them in place — none forces
+        materialisation — so archiving, loading or folding a run
+        allocates no per-record dataclasses.
         """
         return self._records, self._blocks
 

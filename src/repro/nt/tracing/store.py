@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import struct
 import zlib
+from array import array
 from pathlib import Path
 from typing import BinaryIO, Union
 
@@ -373,13 +374,13 @@ class StoreStream:
     materialising the collector.  Usage::
 
         stream = StoreStream(path)
-        for record in stream.records():
-            ...
+        block = stream.record_block()   # or: for record in stream.records()
         names, process_names, process_interactive = stream.tail_sections()
 
-    ``records()`` must be exhausted before ``tail_sections()``: the
-    payload is decompressed strictly forward, holding one batch of packed
-    records in memory at a time.
+    The records must be read before ``tail_sections()``: the payload is
+    decompressed strictly forward.  ``records()`` holds one batch of
+    packed records in memory at a time; :meth:`record_block` decodes the
+    whole section into one staged block and builds no record objects.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -401,6 +402,12 @@ class StoreStream:
             for fields in RECORD_STRUCT.iter_unpack(raw):
                 if wanted is None or fields[0] in wanted:
                     yield TraceRecord(*fields)
+
+    def record_block(self) -> array:
+        """The unread records as one staged ``array('q')`` block, in the
+        collector's columnar layout (:mod:`repro.nt.tracing.fastbuf`)."""
+        n, self._records_left = self._records_left, 0
+        return unpack_block(self._reader.read(n * RECORD_STRUCT.size))
 
     def tail_sections(self):
         """(name records, process names, process interactivity) after the

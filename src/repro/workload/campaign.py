@@ -2,9 +2,9 @@
 
 ``repro run`` archives every machine's trace and the analysis loads them
 all back — fine at seed scale, impossible at the paper's (45 machines,
-4 weeks, ~190M records).  A *campaign* instead streams each machine's
-trace through the one-pass folds of :mod:`repro.analysis.streaming` the
-moment it finishes simulating, keeps only the bounded-memory
+4 weeks, ~190M records).  A *campaign* instead folds each machine's
+staged trace blocks (:func:`~repro.analysis.streaming.fold_collector`)
+the moment it finishes simulating, keeps only the bounded-memory
 :class:`~repro.analysis.streaming.StatsSketch` plus one small integer
 row per machine, and discards the collector.  Peak memory is flat in
 machine count, which the CI ``study-smoke`` job gates with a
@@ -271,14 +271,22 @@ def study_artifact_bytes(result: CampaignResult) -> bytes:
 
 
 def load_study_artifact(path) -> tuple[dict, StatsSketch]:
-    """Read an ``nt-study-1`` artifact; returns (document, sketch)."""
+    """Read an ``nt-study-1`` artifact; returns (document, sketch).
+
+    A foreign document or a malformed sketch raises ``ValueError`` naming
+    the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != ARTIFACT_FORMAT:
         raise ValueError(
             f"{path} is not an {ARTIFACT_FORMAT} artifact "
             f"(format={doc.get('format')!r})")
-    return doc, StatsSketch.from_dict(doc["sketch"])
+    try:
+        sketch = StatsSketch.from_dict(doc["sketch"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return doc, sketch
 
 
 def bench_payload(result: CampaignResult, workers: Optional[int],
@@ -288,7 +296,8 @@ def bench_payload(result: CampaignResult, workers: Optional[int],
     Everything under ``deterministic`` is a pure function of the study
     parameters; ``sketch_sha256`` pins the whole aggregate — a single
     drifted bucket anywhere flips it.  Wall-clock and memory live
-    outside the block.
+    outside the block; ``peak_traced_mb`` is None for an untraced
+    (timed) campaign.
     """
     config = result.config
     rate = (result.total_records / result.wall_seconds

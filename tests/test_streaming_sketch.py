@@ -36,6 +36,7 @@ from repro.analysis.streaming import (
     streaming_figure_series,
     streaming_pattern_table,
 )
+from repro.nt.perf import N_BUCKETS
 from repro.nt.tracing.records import TraceEventKind
 from repro.nt.tracing.store import StoreStream, iter_trace_records, save_study
 
@@ -227,6 +228,81 @@ class TestThreeWayIdentity:
         category = study_sketch.machines[midx]["category"]
         fold_store_file(single, midx, category, path)
         assert single.machines[midx] == study_sketch.machines[midx]
+
+
+# --------------------------------------------------------------------- #
+# Golden digests.  Every in-tree sketch comparison runs the same record
+# update on both sides, so these sha256s — recorded with the
+# record-at-a-time fold that preceded the columnar one — are the
+# independent check that the columnar fold changed no byte.
+
+GOLDEN_SMALL_STUDY_SHA256 = (
+    "61d501e5a9c36b40350230b3468808cffd71b677b4b8bfbdaf1f9da5210bb76c")
+# The same archive folded without categories (every machine "unknown").
+GOLDEN_ARCHIVE_NO_CATEGORIES_SHA256 = (
+    "9b164ee01ae7a99ff8ba7a80e6965af7f323fb58ea4a216aa2abe2839e70b36d")
+
+
+class TestGoldenDigests:
+    def test_small_study(self, study_sketch):
+        assert study_sketch.sha256() == GOLDEN_SMALL_STUDY_SHA256
+
+    def test_archived_study(self, archived_study, small_study):
+        assert sketch_from_archive(
+            archived_study, categories=small_study.machine_categories
+        ).sha256() == GOLDEN_SMALL_STUDY_SHA256
+        assert sketch_from_archive(archived_study).sha256() == \
+            GOLDEN_ARCHIVE_NO_CATEGORIES_SHA256
+
+    def test_warehouse(self, small_warehouse):
+        assert sketch_from_warehouse(small_warehouse).sha256() == \
+            GOLDEN_SMALL_STUDY_SHA256
+
+
+# --------------------------------------------------------------------- #
+# Malformed sketches are refused on decode and on merge.
+
+class TestMalformedSketch:
+    def test_short_histogram_rejected(self, study_sketch):
+        doc = study_sketch.to_dict()
+        doc["records"]["latency"]["irp-read"]["bucket_counts"] = [1, 2]
+        with pytest.raises(ValueError, match="irp-read"):
+            StatsSketch.from_dict(doc)
+
+    def test_negative_bucket_rejected(self, study_sketch):
+        doc = study_sketch.to_dict()
+        counts = doc["records"]["latency"]["fastio-read"]["bucket_counts"]
+        counts[1] += counts[0] + 1
+        counts[0] = -1          # the sum still equals count
+        with pytest.raises(ValueError, match="fastio-read"):
+            StatsSketch.from_dict(doc)
+
+    def test_histogram_sum_must_equal_count(self, study_sketch):
+        doc = study_sketch.to_dict()
+        doc["records"]["latency"]["irp-write"]["count"] += 1
+        with pytest.raises(ValueError, match="irp-write"):
+            StatsSketch.from_dict(doc)
+
+    @pytest.mark.parametrize("section,key", [
+        ("records", "req_size"), ("instances", "session")])
+    def test_digest_weights_must_sum_to_w(self, study_sketch, section, key):
+        doc = study_sketch.to_dict()
+        digest = next(iter(doc[section][key].values()))
+        digest["w"] += 1
+        with pytest.raises(ValueError, match="malformed digest"):
+            StatsSketch.from_dict(doc)
+
+    def test_merge_refuses_mismatched_histograms(self, study_sketch):
+        good = StatsSketch.from_dict(study_sketch.to_dict())
+        other = StatsSketch.from_dict(study_sketch.to_dict())
+        other.machines = {}               # a disjoint, non-empty shard
+        other.latency["irp-read"].bucket_counts = [1, 2]
+        before = good.canonical_bytes()
+        with pytest.raises(ValueError, match="buckets"):
+            good.merge(other)
+        # Refused before anything merged: the good sketch is untouched.
+        assert good.canonical_bytes() == before
+        assert len(good.latency["irp-read"].bucket_counts) == N_BUCKETS + 1
 
 
 # --------------------------------------------------------------------- #

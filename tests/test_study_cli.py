@@ -25,6 +25,15 @@ from repro.workload.campaign import (
 SMALL = dict(n_machines=3, duration_seconds=15.0, seed=5,
              content_scale=0.05)
 
+# Sketch sha256 of SMALL at seeds 5 (SMALL itself), 6 and 7, recorded with
+# the record-at-a-time fold that preceded the columnar one.  The other
+# campaign checks compare two runs of the same fold; these do not.
+GOLDEN_CAMPAIGN_SHA256 = {
+    5: "605ae3e5de002d938e656902e09a7a4382b5041aa84391faef7c49d3e3d4dd99",
+    6: "88c90b99e3c6385a31585422236d50e929c909f55daa86bdc47f74e98360b8d6",
+    7: "4c99798dea91c05e663d6e1cb132cb5fc02e0e6c989a03110d70ec99946ef046",
+}
+
 
 @pytest.fixture(scope="module")
 def small_campaign():
@@ -51,6 +60,16 @@ class TestCampaignEngine:
         reference = sketch_from_study(run_study(StudyConfig(**SMALL)))
         assert small_campaign.sketch.canonical_bytes() == \
             reference.canonical_bytes()
+
+    def test_golden_sketch_digest(self, small_campaign):
+        assert small_campaign.sketch.sha256() == \
+            GOLDEN_CAMPAIGN_SHA256[SMALL["seed"]]
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_golden_sketch_digest_other_seeds(self, seed):
+        config = StudyConfig(**{**SMALL, "seed": seed})
+        assert run_campaign(config).sketch.sha256() == \
+            GOLDEN_CAMPAIGN_SHA256[seed]
 
     def test_machine_rows_carry_watermarks(self, small_campaign):
         assert len(small_campaign.machine_rows) == SMALL["n_machines"]
@@ -86,6 +105,24 @@ class TestCampaignEngine:
         with pytest.raises(ValueError, match="nt-study-1"):
             load_study_artifact(path)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda rec: rec["latency"]["irp-read"].update(bucket_counts=[1, 2]),
+        lambda rec: rec["latency"]["irp-write"].update(
+            count=rec["latency"]["irp-write"]["count"] + 1),
+        lambda rec: rec["req_size"]["fastio-read"].update(
+            w=rec["req_size"]["fastio-read"]["w"] + 1),
+    ], ids=["short-histogram", "histogram-sum", "digest-weight"])
+    def test_artifact_rejects_malformed_sketch(self, small_campaign,
+                                               tmp_path, mutate, capsys):
+        doc = json.loads(study_artifact_bytes(small_campaign))
+        mutate(doc["sketch"]["records"])
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="study.json: malformed"):
+            load_study_artifact(path)
+        with pytest.raises(SystemExit, match="cannot read"):
+            cli_main(["report", str(path)])
+
     def test_bench_payload_shape(self, small_campaign):
         payload = bench_payload(small_campaign, workers=None,
                                 peak_traced_mb=12.5)
@@ -115,6 +152,24 @@ class TestStudyCli:
         bench = json.loads((tmp_path / "bench.json").read_text())
         assert bench["format"] == "nt-study-bench-1"
         assert bench["deterministic"]["sketch_sha256"] == sketch.sha256()
+
+    def test_bench_json_alone_runs_untraced(self, tmp_path, capsys,
+                                            monkeypatch):
+        import tracemalloc
+
+        def refuse():
+            raise AssertionError("--bench-json alone started tracemalloc")
+
+        monkeypatch.setattr(tracemalloc, "start", refuse)
+        rc = cli_main([
+            "study", "--machines", "1", "--seconds", "8", "--seed", "5",
+            "--scale", "0.05", "--quiet",
+            "--bench-json", str(tmp_path / "bench.json")])
+        assert rc == 0
+        assert "peak traced memory" not in capsys.readouterr().out
+        bench = json.loads((tmp_path / "bench.json").read_text())
+        assert bench["peak_traced_mb"] is None
+        assert bench["records_per_second"] > 0
 
     def test_memory_gate_failure(self, tmp_path, capsys):
         rc = cli_main([
