@@ -33,10 +33,10 @@ def _run(cache_fraction: float) -> tuple[float, int]:
             if app.step() is None:
                 break
         app.on_exit()
-    hits = machine.counters["cc.read_hits"]
-    misses = machine.counters["cc.read_misses"]
+    hits = machine.perf.value("cc.copy_read.hits")
+    misses = machine.perf.value("cc.copy_read.misses")
     ratio = 100.0 * hits / max(1, hits + misses)
-    return ratio, int(machine.counters["cc.pages_evicted"])
+    return ratio, machine.perf.value("cc.pages_evicted")
 
 
 def test_ablation_cache_size(benchmark):

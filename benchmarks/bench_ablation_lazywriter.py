@@ -28,10 +28,10 @@ def _run(scan_seconds: float, seed: int = 31):
         gap = (float(np.median(opens.close_gap_written))
                / TICKS_PER_SECOND if opens.close_gap_written.size
                else float("nan"))
-        counters = next(iter(result.counters.values()))
+        counters = next(iter(result.perf.values()))["counters"]
         never_written = (counters.get("cc.dirty_discarded_on_delete", 0)
                          + counters.get("cc.dirty_discarded_on_cleanup", 0))
-        flushed = counters.get("cc.pages_flushed", 0) \
+        flushed = counters.get("cc.flush.pages", 0) \
             + counters.get("lw.pages_written", 0)
         return gap, never_written, flushed
     finally:

@@ -34,7 +34,7 @@ def _run(boosted: bool) -> tuple[float, int]:
         pool = catalog.documents + catalog.headers + catalog.dlls
         for _ in range(250):
             path = "C:" + catalog.pick(rng, pool, zipf_s=0.3)
-            before = machine.counters["mm.paging_reads"]
+            before = machine.perf.value("mm.page_ins")
             status, handle = w.create_file(process, path)
             if status.is_error:
                 continue
@@ -44,10 +44,10 @@ def _run(boosted: bool) -> tuple[float, int]:
                     break
             w.close_handle(process, handle)
             sessions += 1
-            if machine.counters["mm.paging_reads"] - before <= 1:
+            if machine.perf.value("mm.page_ins") - before <= 1:
                 single_prefetch += 1
         share = 100.0 * single_prefetch / max(1, sessions)
-        return share, int(machine.counters["mm.paging_reads"])
+        return share, machine.perf.value("mm.page_ins")
     finally:
         cachemanager.BOOSTED_READ_AHEAD = original
 

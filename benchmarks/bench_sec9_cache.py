@@ -8,7 +8,7 @@ from benchmarks.conftest import print_header, print_row
 
 
 def test_sec9_cache(benchmark, study, warehouse):
-    cache = benchmark(analyze_cache, warehouse, study.counters)
+    cache = benchmark(analyze_cache, warehouse, study.perf)
     print_header("Section 9: the cache manager")
     print_row("reads served from the cache", "60%",
               f"{cache.read_cache_hit_pct:.0f}%")

@@ -64,12 +64,13 @@ def run_workload(cache_fraction: float, sequential_trigger: int) -> dict:
                 latencies.append((machine.clock.now - t0) / 10.0)
             w.close_handle(process, handle)
 
-        hits = machine.counters["cc.read_hits"]
-        misses = machine.counters["cc.read_misses"]
+        perf = machine.perf
+        hits = perf.value("cc.copy_read.hits")
+        misses = perf.value("cc.copy_read.misses")
         return {
             "hit_pct": 100.0 * hits / max(1, hits + misses),
-            "read_aheads": machine.counters["cc.read_aheads"],
-            "evictions": machine.counters["cc.pages_evicted"],
+            "read_aheads": perf.value("cc.readahead.issued"),
+            "evictions": perf.value("cc.pages_evicted"),
             "median_us": float(np.median(latencies)),
             "p90_us": float(np.percentile(latencies, 90)),
         }

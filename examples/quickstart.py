@@ -58,11 +58,11 @@ def main() -> None:
     for kind, count in kinds.most_common():
         print(f"  {kind:<40} {count}")
 
-    print("\nkey internal counters:")
-    for key in ("cc.cache_maps_initialized", "cc.read_hits",
-                "cc.read_misses", "cc.cached_writes", "lw.deferred_closes",
-                "cc.set_end_of_file"):
-        print(f"  {key:<32} {machine.counters[key]}")
+    print("\nkey perf counters:")
+    for key in ("cc.cache_maps_initialized", "cc.copy_read.hits",
+                "cc.copy_read.misses", "cc.copy_write.calls",
+                "lw.deferred_closes", "cc.set_end_of_file"):
+        print(f"  {key:<32} {machine.perf.value(key)}")
 
 
 if __name__ == "__main__":

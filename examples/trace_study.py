@@ -39,7 +39,7 @@ def main() -> None:
     print(f"warehouse: {warehouse.n_records} rows, "
           f"{len(warehouse.instances)} open-close instances\n")
 
-    print(summarize_observations(warehouse, result.counters).format())
+    print(summarize_observations(warehouse, result.perf).format())
 
     print("\nTable 2 (user activity):")
     print(user_activity_table(warehouse, result.duration_ticks).format())

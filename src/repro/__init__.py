@@ -20,7 +20,7 @@ Quickstart::
 
     result = run_study(StudyConfig(n_machines=4, duration_seconds=120))
     wh = TraceWarehouse.from_study(result)
-    print(summarize_observations(wh, result.counters).format())
+    print(summarize_observations(wh, result.perf).format())
 """
 
 from repro.nt.perf import PerfRegistry

@@ -2,14 +2,14 @@
 
 Combines trace-derived measurements (prefetch sufficiency, single-read
 sessions, lazy-write burst structure, flush behaviour, cache-option usage)
-with the simulator's internal counters (hit ratio), exactly as the paper
+with the simulator's perf counters (hit ratio), exactly as the paper
 combined trace analysis with targeted follow-up measurements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Mapping, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -50,16 +50,18 @@ class CacheAnalysis:
 
 
 def analyze_cache(wh: "TraceWarehouse",
-                  counters: Optional[dict[str, dict[str, int]]] = None
+                  perf: Optional[Mapping[str, Mapping]] = None
                   ) -> CacheAnalysis:
-    """Compute §9's cache statistics."""
+    """Compute §9's cache statistics; the hit ratio needs ``perf``, the
+    study's per-machine perf snapshots (``StudyResult.perf``)."""
     result = CacheAnalysis()
     instances = [s for s in wh.instances if not s.open_failed]
 
-    # Hit ratio from machine counters when available.
-    if counters:
-        hits = sum(c.get("cc.read_hits", 0) for c in counters.values())
-        misses = sum(c.get("cc.read_misses", 0) for c in counters.values())
+    # Hit ratio from the copy-read perf counters when available.
+    if perf:
+        counters = [snap.get("counters", {}) for snap in perf.values()]
+        hits = sum(c.get("cc.copy_read.hits", 0) for c in counters)
+        misses = sum(c.get("cc.copy_read.misses", 0) for c in counters)
         if hits + misses:
             result.read_cache_hit_pct = 100.0 * hits / (hits + misses)
 

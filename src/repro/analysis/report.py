@@ -8,7 +8,7 @@ call reports the whole reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Mapping, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -58,9 +58,10 @@ class ObservationSummary:
 
 
 def summarize_observations(wh: "TraceWarehouse",
-                           counters: Optional[dict[str, dict[str, int]]] = None
+                           perf: Optional[Mapping[str, Mapping]] = None
                            ) -> ObservationSummary:
-    """Measure every table-1 observation from a study's warehouse."""
+    """Measure every table-1 observation from a study's warehouse (and
+    the cache hit ratio from its ``StudyResult.perf`` snapshots)."""
     from repro.analysis.cache import analyze_cache
     from repro.analysis.fastio import analyze_fastio
     from repro.analysis.lifetimes import analyze_lifetimes
@@ -116,7 +117,7 @@ def summarize_observations(wh: "TraceWarehouse",
                     opens.session_all <= TICKS_PER_SECOND))
                 if opens.session_all.size else float("nan"))
 
-    cache = analyze_cache(wh, counters)
+    cache = analyze_cache(wh, perf)
     summary.add("reads served from the file cache", "60%",
                 cache.read_cache_hit_pct)
     summary.add("open-for-read needing a single prefetch", "92%",

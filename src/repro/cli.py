@@ -605,8 +605,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.streaming:
         return _report_streaming(args)
     warehouse, result = _load_or_run(args.traces, args.seed, args.workers)
-    counters = result.counters if result is not None else None
-    print(summarize_observations(warehouse, counters).format())
+    perf = result.perf if result is not None else None
+    print(summarize_observations(warehouse, perf).format())
     print("\nTable 2 (user activity):")
     print(user_activity_table(warehouse).format())
     print("\nTable 3 (access patterns):")
@@ -718,7 +718,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         warehouse = TraceWarehouse.from_study(result)
         _ = warehouse.instances
     with telemetry.phase("analysis"):
-        summarize_observations(warehouse, result.counters)
+        summarize_observations(warehouse, result.perf)
     if args.json is not None:
         _write_perf_json(result.perf, _study_meta(args), args.json)
     _print_perf_table(result.perf, len(result.collectors))

@@ -126,7 +126,6 @@ class CacheManager:
         self.machine = machine
         self.capacity_pages = capacity_bytes // PAGE_SIZE
         perf = machine.perf
-        self._perf = perf
         self._profiler = machine.profiler
         self._perf_hits = perf.counter("cc.copy_read.hits")
         self._perf_misses = perf.counter("cc.copy_read.misses")
@@ -137,6 +136,12 @@ class CacheManager:
         self._perf_ra_consumed = perf.counter("cc.readahead.pages_consumed")
         self._perf_flush_pages = perf.counter("cc.flush.pages")
         self._perf_evicted = perf.counter("cc.pages_evicted")
+        self._perf_maps = perf.counter("cc.cache_maps_initialized")
+        self._perf_past_eof = perf.counter("cc.reads_past_eof")
+        # Dirty pages dropped unwritten (§6.3), by the path that drops them.
+        self._perf_drop_cleanup = perf.counter("cc.dirty_discarded_on_cleanup")
+        self._perf_drop_delete = perf.counter("cc.dirty_discarded_on_delete")
+        self._perf_drop_truncate = perf.counter("cc.dirty_purged_on_truncate")
         self._perf_dirty_peak = perf.gauge("cc.dirty_pages_peak")
         # Resident pages, split NT-style (§3.3) into two recency lists
         # keyed by (map_id, page):
@@ -204,7 +209,7 @@ class CacheManager:
             else:
                 overlay[key] = None
                 missing += 1
-        if not write and self._perf.enabled:
+        if not write:
             # Hit/miss at copy-read granularity, mirroring cc.copy_read.*.
             (self._perf_overlay_misses if missing
              else self._perf_overlay_hits).add(1)
@@ -212,7 +217,7 @@ class CacheManager:
         while len(overlay) > self._overlay_pages:
             overlay.popitem(last=False)
             evicted += 1
-        if evicted and self._perf.enabled:
+        if evicted:
             self._perf_overlay_evicted.add(evicted)
 
     # ------------------------------------------------------------------ #
@@ -236,8 +241,7 @@ class CacheManager:
         cmap.paging_fo = fo
         fo.private_cache_map = PrivateCacheMap()
         fo.set_flag(FileObjectFlags.CACHE_SUPPORTED)
-        self.machine.counters["cc.cache_maps_initialized"] += 1
-        self._perf.count("cc.cache_maps_initialized")
+        self._perf_maps.add(1)
         return cmap
 
     def cleanup_file_object(self, fo: FileObject, process_id: int) -> None:
@@ -267,7 +271,7 @@ class CacheManager:
             if cmap.dirty:
                 # Temporary or delete-pending file: unwritten data is
                 # discarded rather than flushed (§6.3's persistency saving).
-                machine.counters["cc.dirty_discarded_on_cleanup"] += len(cmap.dirty)
+                self._perf_drop_cleanup.add(len(cmap.dirty))
                 for page in sorted(cmap.dirty):
                     self._modified.pop((cmap.map_id, page), None)
                     cmap.pages.discard(page)
@@ -324,33 +328,29 @@ class CacheManager:
             raise RuntimeError("copy_read before cache map initialisation")
         machine = self.machine
         if offset >= node.size:
-            machine.counters["cc.reads_past_eof"] += 1
+            self._perf_past_eof.add(1)
             return NtStatus.END_OF_FILE, 0, True
         returned = min(length, node.size - offset)
         pages = page_span(offset, returned)
         machine.charge_cpu(
             _COPY_BASE_MICROS + _COPY_PER_PAGE_MICROS * len(pages))
         if self.assume_resident:
-            machine.counters["cc.read_hits"] += 1
-            if self._perf.enabled:
-                self._perf_hits.add(1)
+            self._perf_hits.add(1)
             if self._overlay is not None:
                 self._overlay_access(cmap.map_id, pages, write=False)
             return NtStatus.SUCCESS, returned, True
         missing = [p for p in pages if p not in cmap.pages]
         hit = not missing
-        if self._perf.enabled:
-            (self._perf_hits if hit else self._perf_misses).add(1)
-            if cmap.ra_pages:
-                consumed = cmap.ra_pages.intersection(pages)
-                if consumed:
-                    cmap.ra_pages.difference_update(consumed)
-                    self._perf_ra_consumed.add(len(consumed))
+        (self._perf_hits if hit else self._perf_misses).add(1)
+        if cmap.ra_pages:
+            consumed = cmap.ra_pages.intersection(pages)
+            if consumed:
+                cmap.ra_pages.difference_update(consumed)
+                self._perf_ra_consumed.add(len(consumed))
         granularity = cmap.read_ahead_granularity
         if fo.has_flag(FileObjectFlags.SEQUENTIAL_ONLY):
             granularity *= 2  # §9.1: sequential-only doubles read-ahead.
         if missing:
-            machine.counters["cc.read_misses"] += 1
             fault_start = missing[0] * PAGE_SIZE
             want_end = max(offset + returned, fault_start + granularity)
             fault_end = min(self._page_ceil(want_end),
@@ -358,9 +358,6 @@ class CacheManager:
             machine.mm.page_in(cmap, fault_start, fault_end - fault_start,
                                background=False)
             self._mark_resident(cmap, fault_start, fault_end - fault_start)
-            machine.counters["cc.prefetches"] += 1
-        else:
-            machine.counters["cc.read_hits"] += 1
         trigger = fo.private_cache_map.predictor.observe(offset, returned)
         if trigger:
             self._issue_read_ahead(cmap, fo, granularity)
@@ -388,10 +385,8 @@ class CacheManager:
         if self.assume_resident:
             node.valid_data_length = max(node.valid_data_length,
                                          offset + length)
-            machine.counters["cc.cached_writes"] += 1
-            if self._perf.enabled:
-                self._perf_writes.add(1)
-                self._perf_write_bytes.add(length)
+            self._perf_writes.add(1)
+            self._perf_write_bytes.add(length)
             if self._overlay is not None:
                 self._overlay_access(cmap.map_id, pages, write=True)
             return NtStatus.SUCCESS, length
@@ -426,12 +421,10 @@ class CacheManager:
         self._evict_if_needed()
         node.valid_data_length = max(node.valid_data_length, offset + length)
         cmap.written_pending_eof = True
-        machine.counters["cc.cached_writes"] += 1
-        if self._perf.enabled:
-            self._perf_writes.add(1)
-            self._perf_write_bytes.add(length)
-            if len(modified) > self._perf_dirty_peak.value:
-                self._perf_dirty_peak.set(len(modified))
+        self._perf_writes.add(1)
+        self._perf_write_bytes.add(length)
+        if len(modified) > self._perf_dirty_peak.value:
+            self._perf_dirty_peak.set(len(modified))
         return NtStatus.SUCCESS, length
 
     # ------------------------------------------------------------------ #
@@ -448,9 +441,7 @@ class CacheManager:
                                      background=background)
             flushed += len(page_span(run_offset, run_length))
         self.note_cleaned(cmap, sorted(cmap.dirty))
-        self.machine.counters["cc.pages_flushed"] += flushed
-        if self._perf.enabled:
-            self._perf_flush_pages.add(flushed)
+        self._perf_flush_pages.add(flushed)
         # Dirty pages pinned the cache above budget; now they are clean
         # the standby list can shed them.
         self._evict_if_needed()
@@ -468,9 +459,7 @@ class CacheManager:
         self.machine.mm.page_out(cmap, target[0] * PAGE_SIZE,
                                  (target[-1] - target[0] + 1) * PAGE_SIZE,
                                  background=False)
-        self.machine.counters["cc.pages_flushed"] += len(target)
-        if self._perf.enabled:
-            self._perf_flush_pages.add(len(target))
+        self._perf_flush_pages.add(len(target))
         self._evict_if_needed()
         return len(target)
 
@@ -497,7 +486,7 @@ class CacheManager:
             else:
                 self._standby.pop(key, None)
         if dirty_dropped:
-            self.machine.counters["cc.dirty_purged_on_truncate"] += dirty_dropped
+            self._perf_drop_truncate.add(dirty_dropped)
         if not cmap.dirty:
             self.dirty_maps.pop(cmap, None)
         return dirty_dropped
@@ -517,7 +506,7 @@ class CacheManager:
         cmap.ra_pages.clear()
         self.dirty_maps.pop(cmap, None)
         if dirty_dropped:
-            self.machine.counters["cc.dirty_discarded_on_delete"] += dirty_dropped
+            self._perf_drop_delete.add(dirty_dropped)
         node.cache_map = None
         return dirty_dropped
 
@@ -575,11 +564,9 @@ class CacheManager:
             spans.end(span)
         self._mark_resident(cmap, wanted[0] * PAGE_SIZE,
                             (wanted[-1] - wanted[0] + 1) * PAGE_SIZE)
-        self.machine.counters["cc.read_aheads"] += 1
-        if self._perf.enabled:
-            self._perf_ra_issued.add(1)
-            self._perf_ra_pages.add(len(wanted))
-            cmap.ra_pages.update(wanted)
+        self._perf_ra_issued.add(1)
+        self._perf_ra_pages.add(len(wanted))
+        cmap.ra_pages.update(wanted)
 
     def note_cleaned(self, cmap: SharedCacheMap, pages) -> None:
         """Move flushed pages off the dirty set onto the standby list.
@@ -616,9 +603,7 @@ class CacheManager:
             cmap.ra_pages.discard(page)
             excess -= 1
             evicted += 1
-        self.machine.counters["cc.pages_evicted"] += evicted
-        if self._perf.enabled:
-            self._perf_evicted.add(evicted)
+        self._perf_evicted.add(evicted)
 
     def shed_excess(self) -> None:
         """Evict down to budget (for callers that just cleaned pages)."""

@@ -34,7 +34,6 @@ class LazyWriter:
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         perf = machine.perf
-        self._perf = perf
         self._perf_scans = perf.counter("lw.scans")
         self._perf_flush_runs = perf.counter("lw.flush_runs")
         self._perf_pages = perf.counter("lw.pages_written")
@@ -72,9 +71,7 @@ class LazyWriter:
         if prof_on:
             profiler.enter(BIN_LAZY_WRITER)
         try:
-            machine.counters["lw.scans"] += 1
-            if self._perf.enabled:
-                self._perf_scans.add(1)
+            self._perf_scans.add(1)
             self._complete_pending_closes()
             for cmap in list(machine.cc.dirty_maps):
                 if cmap.pending_close or not cmap.dirty:
@@ -122,9 +119,7 @@ class LazyWriter:
             machine.io.dereference_and_maybe_close(fo, process_id)
             if span is not None:
                 spans.end(span)
-            machine.counters["lw.deferred_closes"] += 1
-            if self._perf.enabled:
-                self._perf_deferred.add(1)
+            self._perf_deferred.add(1)
         self._pending_close.extend(still_waiting)
 
     def _write_portion(self, cmap: SharedCacheMap) -> None:
@@ -143,12 +138,9 @@ class LazyWriter:
             machine.mm.page_out(cmap, run_offset, run_length, background=True)
             machine.cc.note_cleaned(cmap, pages)
             written += len(pages)
-            if self._perf.enabled:
-                self._perf_flush_runs.add(1)
-                self._perf_bytes.add(run_length)
+            self._perf_flush_runs.add(1)
+            self._perf_bytes.add(run_length)
         machine.cc.shed_excess()
         if span is not None:
             spans.end(span)
-        machine.counters["lw.pages_written"] += written
-        if self._perf.enabled:
-            self._perf_pages.add(written)
+        self._perf_pages.add(written)

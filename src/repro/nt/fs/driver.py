@@ -86,6 +86,20 @@ class FileSystemDriver(Driver):
 
     name = "fsd"
 
+    def __init__(self, io) -> None:
+        super().__init__(io)
+        perf = io.machine.perf
+        self._perf_created = perf.counter("fs.files_created")
+        self._perf_overwritten = perf.counter("fs.files_overwritten")
+        self._perf_renamed = perf.counter("fs.files_renamed")
+        self._perf_deleted = perf.counter("fs.files_deleted")
+        self._perf_flushes = perf.counter("fs.explicit_flushes")
+        self._perf_sharing_violations = perf.counter("fs.sharing_violations")
+        # Only the random decline lottery; io.fastio.declined also counts
+        # structural declines (no private cache map, compressed file).
+        self._perf_fastio_declined = perf.counter("fastio.declined")
+        self._perf_mdl_reads = perf.counter("fastio.mdl_reads")
+
     # ------------------------------------------------------------------ #
     # IRP path.
 
@@ -136,7 +150,7 @@ class FileSystemDriver(Driver):
             if isinstance(node, FileNode) and not sharing_permits(
                     node.share_grants, int(irp.desired_access),
                     int(irp.share_mode)):
-                machine.counters["fs.sharing_violations"] += 1
+                self._perf_sharing_violations.add(1)
                 return irp.complete(NtStatus.SHARING_VIOLATION)
             result = CreateResult.OPENED
             if disposition in (CreateDisposition.OVERWRITE,
@@ -161,7 +175,7 @@ class FileSystemDriver(Driver):
                 node = volume.create_file(parent, leaf,
                                           irp.create_attributes, now)
             result = CreateResult.CREATED
-            machine.counters["fs.files_created"] += 1
+            self._perf_created.add(1)
             machine.notify_directory_change(parent)
 
         self._bind_file_object(fo, node, options, irp.create_attributes)
@@ -182,7 +196,7 @@ class FileSystemDriver(Driver):
         if attributes & FileAttributes.TEMPORARY:
             node.attributes |= FileAttributes.TEMPORARY
         machine.mm.evict_image(volume.label, node.full_path())
-        machine.counters["fs.files_overwritten"] += 1
+        self._perf_overwritten.add(1)
 
     @staticmethod
     def _bind_file_object(fo, node: Node, options: CreateOptions,
@@ -363,7 +377,7 @@ class FileSystemDriver(Driver):
         node.name = leaf
         parent.attach(node)
         node.last_write_time = machine.clock.now
-        machine.counters["fs.files_renamed"] += 1
+        self._perf_renamed.add(1)
         return NtStatus.SUCCESS
 
     # -- directory / volume control ------------------------------------ #
@@ -422,7 +436,7 @@ class FileSystemDriver(Driver):
         self._charge(_QUERY_INFO)
         if isinstance(node, FileNode):
             machine.cc.flush_file(node, background=False)
-            machine.counters["fs.explicit_flushes"] += 1
+            self._perf_flushes.add(1)
         return irp.complete(NtStatus.SUCCESS)
 
     def _cleanup(self, irp: Irp, device: DeviceObject) -> NtStatus:
@@ -453,7 +467,7 @@ class FileSystemDriver(Driver):
             machine.mm.evict_image(volume.label, node.full_path())
         status = volume.remove_node(node, machine.clock.now)
         if status.is_success:
-            machine.counters["fs.files_deleted"] += 1
+            self._perf_deleted.add(1)
             if parent is not None:
                 machine.notify_directory_change(parent)
 
@@ -509,7 +523,7 @@ class FileSystemDriver(Driver):
             # traces examined reads from compressed large files).
             return FastIoResult.declined()
         if machine.rng.random() < machine.config.fastio_decline_probability:
-            machine.counters["fastio.declined"] += 1
+            self._perf_fastio_declined.add(1)
             return FastIoResult.declined()
         status, returned, _hit = machine.cc.copy_read(fo, irp_like.offset,
                                                       irp_like.length)
@@ -528,7 +542,7 @@ class FileSystemDriver(Driver):
                 or fo.has_flag(FileObjectFlags.NO_INTERMEDIATE_BUFFERING)):
             return FastIoResult.declined()
         if machine.rng.random() < machine.config.fastio_decline_probability:
-            machine.counters["fastio.declined"] += 1
+            self._perf_fastio_declined.add(1)
             return FastIoResult.declined()
         end = irp_like.offset + irp_like.length
         if end > node.size:
@@ -574,7 +588,7 @@ class FileSystemDriver(Driver):
             return FastIoResult.declined()
         status, returned, _hit = machine.cc.copy_read(fo, irp_like.offset,
                                                       irp_like.length)
-        machine.counters["fastio.mdl_reads"] += 1
+        self._perf_mdl_reads.add(1)
         if status.is_error:
             return FastIoResult.failed(status)
         return FastIoResult.ok(returned)

@@ -26,11 +26,12 @@ class FsServices:
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
+        self._perf_set_end_of_file = machine.perf.counter("cc.set_end_of_file")
 
     def issue_set_end_of_file(self, fo: FileObject, size: int) -> NtStatus:
         """The cache manager's pre-close SetEndOfFile (§8.3)."""
         irp = Irp(IrpMajor.SET_INFORMATION, fo, SYSTEM_PROCESS_ID)
         irp.information_class = SetInformationClass.END_OF_FILE
         irp.set_size = size
-        self.machine.counters["cc.set_end_of_file"] += 1
+        self._perf_set_end_of_file.add(1)
         return self.machine.io.send_irp(irp)

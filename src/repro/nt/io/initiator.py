@@ -179,7 +179,6 @@ class ReplayInitiator:
         self._volumes: dict[str, Volume] = {
             v.label: v for v in machine.io.volumes}
         perf = machine.perf
-        self._perf = perf
         self._perf_injected = perf.counter("replay.records_injected")
         self._perf_skipped = perf.counter("replay.records_skipped")
         self._perf_status_div = perf.counter("replay.status_divergences")
@@ -329,8 +328,7 @@ class ReplayInitiator:
             size=rec.file_size)
         if node is not None:
             self.outcome.nodes_precreated += 1
-            if self._perf.enabled:
-                self._perf_precreated.add(1)
+            self._perf_precreated.add(1)
 
     def _build_node(self, volume: Volume, path: str, want_directory: bool,
                     size: int) -> Optional[Node]:
@@ -380,8 +378,7 @@ class ReplayInitiator:
         fo.node = node
         fo.is_directory_open = node.is_directory
         self.outcome.forced_bindings += 1
-        if self._perf.enabled:
-            self._perf_forced.add(1)
+        self._perf_forced.add(1)
         return True
 
     # ------------------------------------------------------------------ #
@@ -389,21 +386,15 @@ class ReplayInitiator:
 
     def _skip(self, kind: TraceEventKind, reason: str) -> None:
         self.outcome.skip(kind.name, reason)
-        self.machine.counters["replay.records_skipped"] += 1
-        if self._perf.enabled:
-            self._perf_skipped.add(1)
+        self._perf_skipped.add(1)
 
     def _finish(self, kind: TraceEventKind, rec: TraceRecord,
                 status: int, returned: int) -> None:
         self.outcome.injected[kind.name] += 1
-        self.machine.counters["replay.records_injected"] += 1
-        if self._perf.enabled:
-            self._perf_injected.add(1)
+        self._perf_injected.add(1)
         if status != rec.status:
             self.outcome.status_divergences[kind.name] += 1
-            if self._perf.enabled:
-                self._perf_status_div.add(1)
+            self._perf_status_div.add(1)
         if returned != rec.returned:
             self.outcome.returned_divergences[kind.name] += 1
-            if self._perf.enabled:
-                self._perf_returned_div.add(1)
+            self._perf_returned_div.add(1)

@@ -169,8 +169,7 @@ class IoManager:
                 verifier.after_dispatch(irp, status)
             if span is not None:
                 spans.end(span, status)
-            if self._perf.enabled:
-                self._count_irp(irp)
+            self._count_irp(irp)
             return status
         finally:
             if prof_on:
@@ -202,13 +201,11 @@ class IoManager:
             if result.handled:
                 irp_like.status = result.status
                 irp_like.returned = result.returned
-                if self._perf.enabled:
-                    self._count_fastio(op, irp_like)
+                self._count_fastio(op, irp_like)
             else:
                 if span is not None:
                     spans.mark_declined(span)
-                if self._perf.enabled:
-                    self._fastio_declined.add(1)
+                self._fastio_declined.add(1)
             if span is not None:
                 spans.end(span, result.status)
             return result

@@ -40,7 +40,6 @@ class VmManager:
     def __init__(self, machine: "Machine", image_budget_bytes: int) -> None:
         self.machine = machine
         perf = machine.perf
-        self._perf = perf
         self._perf_page_ins = perf.counter("mm.page_ins")
         self._perf_page_outs = perf.counter("mm.page_outs")
         # Paging IRPs: the §3.3 duplicate requests the trace later filters.
@@ -48,6 +47,10 @@ class VmManager:
         self._perf_paging_bytes = perf.counter("mm.paging_bytes")
         self._perf_image_cold = perf.counter("mm.image_cold_loads")
         self._perf_image_warm = perf.counter("mm.image_warm_loads")
+        # Image paging reads, counted even when the read fails (a cold
+        # load counts only once the image is resident).
+        self._perf_image_page_ins = perf.counter("mm.image_page_ins")
+        self._perf_images_evicted = perf.counter("mm.images_evicted")
         # Resident image sections: (volume label, lower path) -> size bytes.
         self._resident_images: "OrderedDict[tuple[str, str], int]" = OrderedDict()
         self._image_budget = image_budget_bytes
@@ -98,7 +101,6 @@ class VmManager:
         to 64 KB; a resident one costs almost nothing — the fast-restart
         optimisation of §3.3.
         """
-        machine = self.machine
         self._fastio_notify(fo, FastIoOp.ACQUIRE_FILE_FOR_NT_CREATE_SECTION,
                             process_id)
         key = self._image_key(fo)
@@ -107,9 +109,7 @@ class VmManager:
             raise ValueError("cannot map an image without an opened node")
         if key in self._resident_images:
             self._resident_images.move_to_end(key)
-            machine.counters["mm.image_warm_loads"] += 1
-            if self._perf.enabled:
-                self._perf_image_warm.add(1)
+            self._perf_image_warm.add(1)
         else:
             size = max(PAGE_SIZE, node.size)
             status = self._paging_transfer(
@@ -121,9 +121,7 @@ class VmManager:
             self._resident_images[key] = size
             self._image_bytes += size
             self._evict_images_if_needed()
-            machine.counters["mm.image_cold_loads"] += 1
-            if self._perf.enabled:
-                self._perf_image_cold.add(1)
+            self._perf_image_cold.add(1)
         self._fastio_notify(fo, FastIoOp.RELEASE_FILE_FOR_NT_CREATE_SECTION,
                             process_id)
         return NtStatus.SUCCESS
@@ -161,27 +159,22 @@ class VmManager:
         status = NtStatus.SUCCESS
         chunk_offset = offset
         end = offset + length
-        perf_on = self._perf.enabled
         while chunk_offset < end:
             chunk = min(MAX_PAGING_TRANSFER, end - chunk_offset)
             irp = Irp(major, fo, process_id=0, flags=flags,
                       offset=chunk_offset, length=chunk)
             status = machine.io.send_irp(irp, background=background)
-            if perf_on:
-                self._perf_paging_irps.add(1)
-                self._perf_paging_bytes.add(chunk)
+            self._perf_paging_irps.add(1)
+            self._perf_paging_bytes.add(chunk)
             if status.is_error:
                 break
             chunk_offset += chunk
         if span is not None:
             spans.end(span, status)
-        key = "mm.paging_reads" if major == IrpMajor.READ else "mm.paging_writes"
-        machine.counters[key] += 1
-        if perf_on:
-            (self._perf_page_ins if major == IrpMajor.READ
-             else self._perf_page_outs).add(1)
+        (self._perf_page_ins if major == IrpMajor.READ
+         else self._perf_page_outs).add(1)
         if image:
-            machine.counters["mm.image_page_ins"] += 1
+            self._perf_image_page_ins.add(1)
         return status
 
     def _mod_write_bracket(self, fo: FileObject, op: FastIoOp) -> None:
@@ -200,4 +193,4 @@ class VmManager:
         while self._image_bytes > self._image_budget and len(self._resident_images) > 1:
             _, size = self._resident_images.popitem(last=False)
             self._image_bytes -= size
-            self.machine.counters["mm.images_evicted"] += 1
+            self._perf_images_evicted.add(1)

@@ -74,7 +74,6 @@ class RedirectorDriver(FileSystemDriver):
         super().__init__(io)
         self.network = network
         perf = io.machine.perf
-        self._perf = perf
         self._perf_wire_requests = perf.counter("rdr.wire.requests")
         self._perf_wire_transfers = perf.counter("rdr.wire.transfers")
         self._perf_wire_bytes = perf.counter("rdr.wire.bytes")
@@ -89,12 +88,9 @@ class RedirectorDriver(FileSystemDriver):
         if prof_on:
             profiler.enter(BIN_REDIRECTOR)
         try:
-            perf_on = self._perf.enabled
             if irp.major in _WIRE_MAJORS:
                 self._wire_advance(machine, 0)
-                machine.counters["rdr.wire_requests"] += 1
-                if perf_on:
-                    self._perf_wire_requests.add(1)
+                self._perf_wire_requests.add(1)
             elif irp.major in (IrpMajor.READ, IrpMajor.WRITE):
                 fo = irp.file_object
                 moves_data = irp.is_paging_io or (
@@ -103,11 +99,9 @@ class RedirectorDriver(FileSystemDriver):
                         FileObjectFlags.NO_INTERMEDIATE_BUFFERING))
                 if moves_data:
                     self._wire_advance(machine, irp.length)
-                    machine.counters["rdr.wire_transfers"] += 1
-                    if perf_on:
-                        self._perf_wire_transfers.add(1)
-                        self._perf_wire_bytes.add(irp.length)
-                elif perf_on:
+                    self._perf_wire_transfers.add(1)
+                    self._perf_wire_bytes.add(irp.length)
+                else:
                     self._perf_cache_absorbed.add(1)
             return super().dispatch(irp, device)
         finally:
@@ -126,7 +120,6 @@ class RedirectorDriver(FileSystemDriver):
     def fastio(self, op: FastIoOp, irp_like: Irp,
                device: DeviceObject) -> FastIoResult:
         result = super().fastio(op, irp_like, device)
-        if self._perf.enabled and result.handled \
-                and op in (FastIoOp.READ, FastIoOp.WRITE):
+        if result.handled and op in (FastIoOp.READ, FastIoOp.WRITE):
             self._perf_cache_absorbed.add(1)
         return result

@@ -6,15 +6,16 @@ and cache effectiveness (§9) from online counters next to the trace
 records.  This module gives the simulator the same property — a
 :class:`PerfRegistry` per :class:`~repro.nt.system.Machine` holding cheap
 monotonic :class:`Counter`\\ s and fixed-bucket log-scale
-:class:`LatencyHistogram`\\ s, fed by instrumentation points in the I/O
-manager, cache manager, lazy writer, VM manager, redirector and trace
-filter.
+:class:`LatencyHistogram`\\ s, fed by instrumentation points in the
+Win32 API, I/O manager, file-system driver, cache manager, lazy writer,
+VM manager, redirector, storage driver and trace filter.
 
-Everything is deterministic (counter values derive only from simulated
-events, never wall-clock time) and near-free when disabled: each
-instrumentation site is gated on a single ``enabled`` attribute check.
-The instrumentation path is pure python; only the whole-array histogram
-update (:meth:`LatencyHistogram.observe_array`) uses numpy.
+The registry is the machine's only counter surface and always runs: each
+simulated event is counted once, by a site holding a direct reference to
+its counter.  Everything is deterministic (counter values derive only
+from simulated events, never wall-clock time).  The instrumentation path
+is pure python; only the whole-array histogram update
+(:meth:`LatencyHistogram.observe_array`) uses numpy.
 
 The counters double as a correctness cross-check: the registry's
 FastIO/IRP dispatch counts must agree with what the trace warehouse later
@@ -160,14 +161,12 @@ class PerfRegistry:
     """Per-machine counter and histogram registry.
 
     Instrumentation sites hold direct references to their counters and
-    histograms (obtained once via :meth:`counter` / :meth:`histogram`) and
-    gate each update on :attr:`enabled` — a disabled registry costs one
-    attribute check per instrumented event.
+    histograms, obtained once via :meth:`counter` / :meth:`histogram`, so
+    an update costs one method call and no name lookup.
     """
 
-    def __init__(self, machine_name: str = "", enabled: bool = True) -> None:
+    def __init__(self, machine_name: str = "") -> None:
         self.machine_name = machine_name
-        self.enabled = enabled
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -198,18 +197,15 @@ class PerfRegistry:
 
     def set_gauge(self, name: str, value: int) -> None:
         """Convenience setter for cold instrumentation sites."""
-        if self.enabled:
-            self.gauge(name).set(value)
+        self.gauge(name).set(value)
 
     def count(self, name: str, n: int = 1) -> None:
         """Convenience increment for cold instrumentation sites."""
-        if self.enabled:
-            self.counter(name).add(n)
+        self.counter(name).add(n)
 
     def observe(self, name: str, ticks: int) -> None:
         """Convenience observation for cold instrumentation sites."""
-        if self.enabled:
-            self.histogram(name).observe(ticks)
+        self.histogram(name).observe(ticks)
 
     def value(self, name: str) -> int:
         """Current value of a counter (0 if never touched)."""
@@ -376,10 +372,54 @@ def perf_json_bytes(perf_by_machine: Mapping[str, Mapping],
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_snapshot(where: str, snap) -> None:
+    """Raise :class:`ValueError` unless ``snap`` is a registry snapshot."""
+    sections = ([snap.get(key, {}) for key in ("counters", "gauges",
+                                                "histograms")]
+                if isinstance(snap, dict) else [None])
+    if not all(isinstance(section, dict) for section in sections):
+        raise ValueError(f"{where}: the snapshot and its counters, gauges "
+                         f"and histograms must be objects")
+    counters, gauges, histograms = sections
+    for name, value in [*counters.items(), *gauges.items()]:
+        if not _is_int(value):
+            raise ValueError(f"{where}: {name!r} is not an integer")
+    for name, hist in histograms.items():
+        hist = hist if isinstance(hist, dict) else {}
+        fields = [hist.get(key) for key in ("count", "sum_ticks",
+                                            "max_ticks")]
+        buckets = hist.get("bucket_counts")
+        if not (isinstance(buckets, list) and len(buckets) == N_BUCKETS + 1
+                and all(_is_int(n) and n >= 0 for n in fields + buckets)
+                and sum(buckets) == fields[0]):
+            raise ValueError(
+                f"{where}: histogram {name!r} needs non-negative integer "
+                f"count, sum_ticks, max_ticks and {N_BUCKETS + 1} buckets "
+                f"summing to count")
+
+
 def load_perf_json(path) -> dict:
-    """Read a perf.json written by :func:`perf_json_bytes`."""
+    """Read a perf.json written by :func:`perf_json_bytes`.
+
+    Raises :class:`ValueError` naming the file unless every per-machine
+    snapshot is one the table, merge and OpenMetrics writers accept.
+    """
     with open(path, "rb") as fh:
         doc = json.loads(fh.read().decode("utf-8"))
-    if doc.get("format") != "nt-perf-1":
+    if not isinstance(doc, dict) or doc.get("format") != "nt-perf-1":
         raise ValueError(f"{path}: not a perf.json file")
+    machines = doc.get("machines")
+    if not (isinstance(machines, dict)
+            and isinstance(doc.get("meta", {}), dict)):
+        raise ValueError(f"{path}: machines and meta must be objects")
+    for name, snap in machines.items():
+        _check_snapshot(f"{path}: machine {name!r}", snap)
+    try:
+        merge_snapshots(machines.values())
+    except PerfSchemaError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return doc

@@ -165,12 +165,11 @@ class StorageDriver(Driver):
                           irp.offset, nbytes,
                           state.queue.positioning_scale(depth))
         state.queue.commit(now, wait, service)
-        if machine.perf.enabled:
-            state.perf_requests.add(1)
-            state.perf_busy.add(service)
-            state.perf_wait.add(wait)
-            state.perf_depth.set(state.queue.depth_max)
-            state.perf_latency.observe(wait + service)
+        state.perf_requests.add(1)
+        state.perf_busy.add(service)
+        state.perf_wait.add(wait)
+        state.perf_depth.set(state.queue.depth_max)
+        state.perf_latency.observe(wait + service)
         spans = machine.spans
         span = spans.begin_device(nbytes) if spans.enabled else None
         machine.clock.advance(wait + service)

@@ -9,7 +9,6 @@ environment the paper instrumented on each of its 45 systems.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -62,9 +61,6 @@ class MachineConfig:
     # fraction is modest.
     cache_memory_fraction: float = 0.10
     image_memory_fraction: float = 0.30
-    # Performance-monitor instrumentation (repro.nt.perf).  Disabling it
-    # reduces every instrumentation site to one attribute check.
-    perf_enabled: bool = True
     # Probability that the FS driver declines a FastIO read/write (byte
     # range locks, compressed ranges, ...), exercising the IRP retry of
     # §10.  The replay engine sets 0.0: a declined FastIO call is never
@@ -143,8 +139,9 @@ class Machine:
         # (the pool and scientific boxes of §2) scale them down.
         self.cpu_scale = 200.0 / max(1, config.cpu_mhz)
         self.rng = np.random.default_rng(config.seed)
-        self.counters: Counter = Counter()
-        self.perf = PerfRegistry(config.name, enabled=config.perf_enabled)
+        self.perf = PerfRegistry(config.name)
+        self._perf_change_notifications = self.perf.counter(
+            "fs.change_notifications")
         # The profiler must exist before the I/O manager and the driver
         # stack: hook sites cache a reference at construction.
         self.profiler = HotPathProfiler(enabled=config.profile_enabled)
@@ -288,7 +285,7 @@ class Machine:
                       minor=IrpMinor.NOTIFY_CHANGE_DIRECTORY)
             irp.control_code = 1
             self.io.send_irp(irp)
-            self.counters["fs.change_notifications"] += 1
+            self._perf_change_notifications.add(1)
 
     # ------------------------------------------------------------------ #
     # Processes.

@@ -50,7 +50,6 @@ class TraceFilterDriver(Driver):
         self._named_fo_ids: set[int] = set()
         self.enabled = True
         perf = io.machine.perf
-        self._perf = perf
         self._perf_records = perf.counter("trace.records")
         self._perf_flushes = perf.counter("trace.buffer_flushes")
         # Requests that passed through while tracing was disabled.
@@ -88,8 +87,7 @@ class TraceFilterDriver(Driver):
             op: func.__get__(driver) for op, func in fastio_table.items()}
 
     def _flush_block(self, block) -> None:
-        if self._perf.enabled:
-            self._perf_flushes.add(1)
+        self._perf_flushes.add(1)
         self.collector.receive_block(block)
 
     # ------------------------------------------------------------------ #
@@ -101,8 +99,7 @@ class TraceFilterDriver(Driver):
             profiler.enter(BIN_TRACE_FILTER)
         try:
             if not self.enabled:
-                if self._perf.enabled:
-                    self._perf_dropped.add(1)
+                self._perf_dropped.add(1)
                 return self.forward_irp(irp, device)
             if (irp.major == IrpMajor.CREATE
                     or irp.minor == IrpMinor.MOUNT_VOLUME):
@@ -123,8 +120,7 @@ class TraceFilterDriver(Driver):
                 else:
                     status = handler(irp, self._fs_device)
             self._stage_record(int(kind_for_irp(irp)), irp)
-            if self._perf.enabled:
-                self._perf_records.add(1)
+            self._perf_records.add(1)
             return status
         finally:
             if prof_on:
@@ -159,9 +155,8 @@ class TraceFilterDriver(Driver):
                 irp_like.status = result.status
                 irp_like.returned = result.returned
                 self._stage_record(int(kind_for_fastio(op)), irp_like)
-                if self._perf.enabled:
-                    self._perf_records.add(1)
-            elif not self.enabled and result.handled and self._perf.enabled:
+                self._perf_records.add(1)
+            elif not self.enabled and result.handled:
                 self._perf_dropped.add(1)
             return result
         finally:

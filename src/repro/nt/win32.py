@@ -48,6 +48,10 @@ class Win32Api:
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
+        perf = machine.perf
+        self._perf_opens = perf.counter("win32.opens")
+        self._perf_open_failures = perf.counter("win32.open_failures")
+        self._perf_mounted = perf.counter("win32.volume_mounted_checks")
 
     # ------------------------------------------------------------------ #
     # Path resolution.
@@ -93,9 +97,9 @@ class Win32Api:
         irp.share_mode = share
         status = machine.io.send_irp(irp)
         if status.is_error:
-            machine.counters["win32.open_failures"] += 1
+            self._perf_open_failures.add(1)
             return status, None
-        machine.counters["win32.opens"] += 1
+        self._perf_opens.add(1)
         return status, process.allocate_handle(fo)
 
     def close_handle(self, process: "Process", handle: int) -> NtStatus:
@@ -398,7 +402,7 @@ class Win32Api:
         irp = Irp(IrpMajor.FILE_SYSTEM_CONTROL, fo, process.pid,
                   minor=IrpMinor.USER_FS_REQUEST)
         irp.control_code = FsControlCode.IS_VOLUME_MOUNTED
-        self.machine.counters["win32.volume_mounted_checks"] += 1
+        self._perf_mounted.add(1)
         return self.machine.io.send_irp(irp)
 
     # ------------------------------------------------------------------ #

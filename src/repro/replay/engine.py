@@ -63,7 +63,6 @@ class ReplayConfig:
     # Post-injection drain so the scheduled cache-manager releases land
     # before the trace buffers flush.
     drain_seconds: float = 2.0
-    perf_enabled: bool = True
     # Parallel fan-out: None replays machines serially in-process; an int
     # fans out over that many worker processes (0 = one per CPU core).
     workers: Optional[int] = None
@@ -106,7 +105,6 @@ class ReplayedMachine:
     category: str
     collector: TraceCollector
     outcome: ReplayOutcome
-    counters: dict = field(default_factory=dict)
     perf: dict = field(default_factory=dict)
     metrics: Optional[MetricsSection] = None
     profile: dict = field(default_factory=dict)
@@ -188,7 +186,6 @@ def build_replay_machine(source: TraceCollector, index: int,
         name=source.machine_name,
         category=_category_of(source.machine_name),
         seed=config.seed * 10_007 + index,
-        perf_enabled=config.perf_enabled,
         fastio_decline_probability=0.0,
         lazy_writer_enabled=False,
         metrics_interval_seconds=config.metrics_interval_seconds,
@@ -240,17 +237,16 @@ def replay_collector(source: TraceCollector, index: int = 0,
     machine.take_snapshots()
     outcome = initiator.outcome
     perf = machine.perf
-    if perf.enabled:
-        perf.set_gauge("replay.divergence.status",
-                       sum(outcome.status_divergences.values()))
-        perf.set_gauge("replay.divergence.returned",
-                       sum(outcome.returned_divergences.values()))
-        perf.set_gauge("replay.divergence.skipped", outcome.skipped_records)
+    perf.set_gauge("replay.divergence.status",
+                   sum(outcome.status_divergences.values()))
+    perf.set_gauge("replay.divergence.returned",
+                   sum(outcome.returned_divergences.values()))
+    perf.set_gauge("replay.divergence.skipped", outcome.skipped_records)
     return ReplayedMachine(
         index=index, name=source.machine_name,
         category=_category_of(source.machine_name),
         collector=machine.collector, outcome=outcome,
-        counters=dict(machine.counters), perf=perf.snapshot(),
+        perf=perf.snapshot(),
         metrics=(machine.flight.section()
                  if machine.flight is not None else None),
         profile=(machine.profiler.snapshot()

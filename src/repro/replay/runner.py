@@ -106,7 +106,6 @@ def _replay_task(task: ReplayTask, events_queue=None) -> dict:
         "category": replayed.category,
         "collector": pack_collector(replayed.collector),
         "outcome": replayed.outcome.to_dict(),
-        "counters": dict(replayed.counters),
         "perf": replayed.perf,
         "metrics": replayed.metrics,
         "profile": replayed.profile,
@@ -120,7 +119,6 @@ def _machine_from_payload(payload: dict) -> ReplayedMachine:
         category=payload["category"],
         collector=unpack_collector(payload["collector"]),
         outcome=ReplayOutcome.from_dict(payload["outcome"]),
-        counters=payload["counters"],
         perf=payload["perf"],
         metrics=payload["metrics"],
         profile=payload["profile"])

@@ -126,7 +126,6 @@ def _simulate_task(task: MachineTask, events_queue=None) -> dict:
         "name": artifact.name,
         "category": artifact.category,
         "collector": pack_collector(artifact.collector),
-        "counters": artifact.counters,
         "perf": artifact.perf,
         "metrics": artifact.metrics,
         "profile": artifact.profile,
@@ -206,7 +205,6 @@ def run_tasks(tasks: list[MachineTask], n_workers: int,
         name=payload["name"],
         category=payload["category"],
         collector=unpack_collector(payload["collector"]),
-        counters=payload["counters"],
         perf=payload["perf"],
         metrics=payload["metrics"],
         profile=payload["profile"]) for payload in payloads]

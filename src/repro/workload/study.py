@@ -103,7 +103,6 @@ class StudyResult:
     collectors: list[TraceCollector]
     machine_categories: dict[str, str]
     duration_ticks: int
-    counters: dict[str, dict[str, int]] = field(default_factory=dict)
     # Per-machine PerfRegistry snapshots (see repro.nt.perf).
     perf: dict[str, dict] = field(default_factory=dict)
     # Per-machine flight-recorder sections (repro.nt.flight), in machine
@@ -377,7 +376,6 @@ class MachineArtifact:
     name: str
     category: str
     collector: TraceCollector
-    counters: dict[str, int]
     perf: dict
     # Flight-recorder section (None unless the study enabled --metrics).
     metrics: Optional[MetricsSection] = None
@@ -444,7 +442,6 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
     return MachineArtifact(
         index=index, name=name, category=category_name,
         collector=machine.collector,
-        counters=dict(machine.counters),
         perf=machine.perf.snapshot(),
         metrics=(machine.flight.section()
                  if machine.flight is not None else None),
@@ -471,7 +468,6 @@ def merge_artifacts(artifacts: Sequence[MachineArtifact],
         collectors=collectors,
         machine_categories={a.name: a.category for a in ordered},
         duration_ticks=duration_ticks,
-        counters={a.name: dict(a.counters) for a in ordered},
         perf={a.name: a.perf for a in ordered},
         metrics=[a.metrics for a in ordered if a.metrics is not None],
         profiles={a.name: a.profile for a in ordered if a.profile})

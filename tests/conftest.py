@@ -121,7 +121,6 @@ def study_state(result) -> dict:
         "collectors": [collector_state(c) for c in result.collectors],
         "machine_categories": dict(result.machine_categories),
         "duration_ticks": result.duration_ticks,
-        "counters": {name: dict(c) for name, c in result.counters.items()},
         "perf": result.perf,
     }
 

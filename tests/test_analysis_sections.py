@@ -174,17 +174,17 @@ class TestOpens:
 
 class TestCacheAnalysis:
     def test_runs(self, small_study, small_warehouse):
-        cache = analyze_cache(small_warehouse, small_study.counters)
+        cache = analyze_cache(small_warehouse, small_study.perf)
         assert 0 < cache.read_cache_hit_pct <= 100
         assert 0 < cache.single_prefetch_sufficient_pct <= 100
 
     def test_lazy_write_bursts_present(self, small_study, small_warehouse):
-        cache = analyze_cache(small_warehouse, small_study.counters)
+        cache = analyze_cache(small_warehouse, small_study.perf)
         assert cache.lazy_write_burst_sizes.size > 0
         assert np.all(cache.lazy_write_sizes <= 65536)
 
     def test_flush_population(self, small_study, small_warehouse):
-        cache = analyze_cache(small_warehouse, small_study.counters)
+        cache = analyze_cache(small_warehouse, small_study.perf)
         assert 0 <= cache.flush_user_pct <= 100
 
 
@@ -259,13 +259,13 @@ class TestHeavyTails:
 class TestReport:
     def test_summary_builds(self, small_study, small_warehouse):
         summary = summarize_observations(small_warehouse,
-                                         small_study.counters)
+                                         small_study.perf)
         assert len(summary.observations) >= 20
         text = summary.format()
         assert "paper" in text and "measured" in text
 
     def test_values_accessible(self, small_study, small_warehouse):
         summary = summarize_observations(small_warehouse,
-                                         small_study.counters)
+                                         small_study.perf)
         v = summary.value("opens for control/directory operations")
         assert 0 < v < 100

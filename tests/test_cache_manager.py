@@ -122,7 +122,7 @@ class TestCopyRead:
         machine, process, handle, fo = cached_file
         for _ in range(20):
             machine.win32.read_file(process, handle, 4096)
-        assert machine.counters["cc.read_aheads"] >= 1
+        assert machine.perf.value("cc.readahead.issued") >= 1
 
     def test_read_past_eof(self, cached_file):
         machine, process, handle, fo = cached_file
@@ -146,10 +146,10 @@ class TestCopyWrite:
         _s, h = w.create_file(process, r"C:\log.bin",
                               access=FileAccess.GENERIC_WRITE,
                               disposition=CreateDisposition.CREATE)
-        reads_before = machine.counters["mm.paging_reads"]
+        reads_before = machine.perf.value("mm.page_ins")
         for _ in range(8):
             w.write_file(process, h, 4096)
-        assert machine.counters["mm.paging_reads"] == reads_before
+        assert machine.perf.value("mm.page_ins") == reads_before
 
     def test_partial_overwrite_faults_boundary(self, machine, process,
                                                make_file_on):
@@ -158,10 +158,10 @@ class TestCopyWrite:
         _s, h = w.create_file(process, r"C:\f.bin",
                               access=FileAccess.GENERIC_WRITE,
                               disposition=CreateDisposition.OPEN)
-        reads_before = machine.counters["mm.paging_reads"]
+        reads_before = machine.perf.value("mm.page_ins")
         # A 100-byte write in the middle of existing data.
         w.write_file(process, h, 100, offset=10_000)
-        assert machine.counters["mm.paging_reads"] > reads_before
+        assert machine.perf.value("mm.page_ins") > reads_before
 
     def test_valid_data_length_tracks_writes(self, cached_file):
         machine, process, handle, fo = cached_file
@@ -188,7 +188,7 @@ class TestPurgeAndDiscard:
         machine.win32.write_file(process, handle, 4096, offset=100_000)
         dropped = machine.cc.purge(fo.node, 0)
         assert dropped >= 1
-        assert machine.counters["cc.dirty_purged_on_truncate"] >= 1
+        assert machine.perf.value("cc.dirty_purged_on_truncate") >= 1
 
     def test_discard_clears_map(self, cached_file):
         machine, _p, _h, fo = cached_file
@@ -208,7 +208,7 @@ class TestLruEviction:
         _s, h = m.win32.create_file(p, r"C:\big.bin")
         for i in range(30):
             m.win32.read_file(p, h, 4096, offset=i * 128 * 1024)
-        assert m.counters["cc.pages_evicted"] > 0
+        assert m.perf.value("cc.pages_evicted") > 0
         assert m.cc.resident_pages <= m.cc.capacity_pages + 1
 
     def test_dirty_pages_not_evicted(self):

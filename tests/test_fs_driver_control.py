@@ -14,7 +14,7 @@ class TestDeleteFile:
         status = machine.win32.delete_file(process, r"C:\f.txt")
         assert status == NtStatus.SUCCESS
         assert machine.drives["C"].resolve(r"\f.txt") is None
-        assert machine.counters["fs.files_deleted"] == 1
+        assert machine.perf.value("fs.files_deleted") == 1
 
     def test_delete_missing_fails(self, machine, process):
         status = machine.win32.delete_file(process, r"C:\missing.txt")
@@ -169,7 +169,7 @@ class TestTwoStageClose:
         assert fo.cleanup_done and not fo.closed
         machine.run_until(machine.clock.now + 2 * TICKS_PER_SECOND)
         assert fo.closed
-        assert machine.counters["lw.deferred_closes"] >= 1
+        assert machine.perf.value("lw.deferred_closes") >= 1
 
     def test_set_end_of_file_precedes_deferred_close(self, machine,
                                                      process):

@@ -94,10 +94,10 @@ class TestReadSemantics:
         make_file_on(r"\f.bin", 4096)
         h = open_for(machine, process, r"C:\f.bin")
         machine.win32.read_file(process, h, 4096)
-        misses_before = machine.counters["cc.read_misses"]
+        misses_before = machine.perf.value("cc.copy_read.misses")
         machine.win32.read_file(process, h, 4096, offset=0)
-        assert machine.counters["cc.read_misses"] == misses_before
-        assert machine.counters["cc.read_hits"] >= 1
+        assert machine.perf.value("cc.copy_read.misses") == misses_before
+        assert machine.perf.value("cc.copy_read.hits") >= 1
 
 
 class TestWriteSemantics:
@@ -121,7 +121,7 @@ class TestWriteSemantics:
         machine.win32.write_file(process, h, 4096)
         fo = machine.win32.file_object(process, h)
         assert not fo.node.cache_map.dirty
-        assert machine.counters["mm.paging_writes"] >= 1
+        assert machine.perf.value("mm.page_outs") >= 1
 
     def test_disk_full_write_fails(self, machine, process):
         vol = machine.drives["C"]

@@ -25,7 +25,7 @@ def open_writer(machine, process, path, attributes=FileAttributes.NORMAL,
 class TestScans:
     def test_scans_happen_every_second(self, machine):
         machine.run_until(5 * TICKS_PER_SECOND)
-        assert machine.counters["lw.scans"] == 5
+        assert machine.perf.value("lw.scans") == 5
 
     def test_writes_portion_of_dirty(self, machine, process):
         h = open_writer(machine, process, r"C:\big.bin")
@@ -78,9 +78,9 @@ class TestTemporaryFiles:
         h = open_writer(machine, process, r"C:\t.tmp",
                         attributes=FileAttributes.TEMPORARY)
         machine.win32.write_file(process, h, 16384)
-        writes_before = machine.counters["mm.paging_writes"]
+        writes_before = machine.perf.value("mm.page_outs")
         machine.run_until(machine.clock.now + 5 * TICKS_PER_SECOND)
-        assert machine.counters["mm.paging_writes"] == writes_before
+        assert machine.perf.value("mm.page_outs") == writes_before
 
     def test_temporary_dirty_discarded_at_cleanup(self, machine, process):
         h = open_writer(machine, process, r"C:\t.tmp",
@@ -88,8 +88,8 @@ class TestTemporaryFiles:
                         options=CreateOptions.DELETE_ON_CLOSE)
         machine.win32.write_file(process, h, 16384)
         machine.win32.close_handle(process, h)
-        assert machine.counters["cc.dirty_discarded_on_delete"] >= 4 or \
-            machine.counters["cc.dirty_discarded_on_cleanup"] >= 4
+        assert machine.perf.value("cc.dirty_discarded_on_delete") >= 4 or \
+            machine.perf.value("cc.dirty_discarded_on_cleanup") >= 4
 
     def test_explicit_flush_still_works_on_temporary(self, machine,
                                                      process):

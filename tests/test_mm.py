@@ -42,7 +42,7 @@ class TestImageSections:
         make_file_on(r"\app.exe", 200_000)
         status = machine.win32.load_image(process, r"C:\app.exe")
         assert status == NtStatus.SUCCESS
-        assert machine.counters["mm.image_cold_loads"] == 1
+        assert machine.perf.value("mm.image_cold_loads") == 1
         paging = [r for r in flush_records(machine)
                   if r.kind == TraceEventKind.IRP_READ and r.is_paging]
         assert sum(r.length for r in paging) >= 200_000
@@ -50,10 +50,10 @@ class TestImageSections:
     def test_warm_load_skips_paging(self, machine, process, make_file_on):
         make_file_on(r"\app.exe", 200_000)
         machine.win32.load_image(process, r"C:\app.exe")
-        reads_before = machine.counters["mm.paging_reads"]
+        reads_before = machine.perf.value("mm.page_ins")
         machine.win32.load_image(process, r"C:\app.exe")
-        assert machine.counters["mm.image_warm_loads"] == 1
-        assert machine.counters["mm.paging_reads"] == reads_before
+        assert machine.perf.value("mm.image_warm_loads") == 1
+        assert machine.perf.value("mm.page_ins") == reads_before
 
     def test_missing_image_fails(self, machine, process):
         status = machine.win32.load_image(process, r"C:\missing.exe")
@@ -73,7 +73,7 @@ class TestImageSections:
         make_file_on(r"\app.exe", 100_000)
         w = machine.win32
         w.load_image(process, r"C:\app.exe")
-        assert machine.counters["mm.image_cold_loads"] == 1
+        assert machine.perf.value("mm.image_cold_loads") == 1
         # Overwrite the binary (a rebuild): section must be invalidated.
         _s, h = w.create_file(process, r"C:\app.exe",
                               access=FileAccess.GENERIC_WRITE,
@@ -81,14 +81,14 @@ class TestImageSections:
         w.write_file(process, h, 100_000)
         w.close_handle(process, h)
         w.load_image(process, r"C:\app.exe")
-        assert machine.counters["mm.image_cold_loads"] == 2
+        assert machine.perf.value("mm.image_cold_loads") == 2
 
     def test_image_budget_eviction(self, machine, process, make_file_on):
         machine.mm._image_budget = 300_000
         for i in range(4):
             make_file_on(rf"\app{i}.exe", 150_000)
             machine.win32.load_image(process, rf"C:\app{i}.exe")
-        assert machine.counters["mm.images_evicted"] >= 1
+        assert machine.perf.value("mm.images_evicted") >= 1
 
 
 class TestMappedViews:
@@ -97,10 +97,10 @@ class TestMappedViews:
         make_file_on(r"\data.bin", 10 << 20)
         w = machine.win32
         _s, h = w.create_file(process, r"C:\data.bin")
-        reads_before = machine.counters["mm.paging_reads"]
+        reads_before = machine.perf.value("mm.page_ins")
         status = w.fault_view(process, h, 1 << 20, 128 * 1024)
         assert status == NtStatus.SUCCESS
-        assert machine.counters["mm.paging_reads"] > reads_before
+        assert machine.perf.value("mm.page_ins") > reads_before
 
     def test_fault_view_bad_handle(self, machine, process):
         assert machine.win32.fault_view(process, 999, 0, 4096) == \

@@ -55,9 +55,9 @@ class TestFrontPage:
 class TestInstaller:
     def test_creates_package_tree(self, app_env):
         machine, catalog = app_env
-        before = machine.counters["fs.files_created"]
+        before = machine.perf.value("fs.files_created")
         run_app(machine, catalog, InstallerApp, bursts=1)
-        created = machine.counters["fs.files_created"] - before
+        created = machine.perf.value("fs.files_created") - before
         assert created >= 10  # a real package burst
 
     def test_backdates_creation_times(self, app_env):

@@ -41,14 +41,14 @@ class TestWatchDirectory:
         records = _notify_records(machine)
         completions = [r for r in records if r.status == 0]
         assert len(completions) == 1
-        assert machine.counters["fs.change_notifications"] == 1
+        assert machine.perf.value("fs.change_notifications") == 1
 
     def test_delete_completes_watch(self, machine, process, make_file_on):
         make_file_on(r"\d\victim.txt")
         handle = _open_dir(machine, process, r"C:\d")
         machine.win32.watch_directory(process, handle)
         machine.win32.delete_file(process, r"C:\d\victim.txt")
-        assert machine.counters["fs.change_notifications"] == 1
+        assert machine.perf.value("fs.change_notifications") == 1
 
     def test_one_shot_delivery(self, machine, process, make_file_on):
         make_file_on(r"\d\seed.txt")
@@ -60,7 +60,7 @@ class TestWatchDirectory:
                 disposition=CreateDisposition.CREATE)
             machine.win32.close_handle(process, h)
         # One arm -> one delivery; the application must re-arm.
-        assert machine.counters["fs.change_notifications"] == 1
+        assert machine.perf.value("fs.change_notifications") == 1
 
     def test_unrelated_directory_untouched(self, machine, process,
                                            make_file_on):
@@ -72,7 +72,7 @@ class TestWatchDirectory:
             process, r"C:\other\new.txt", access=FileAccess.GENERIC_WRITE,
             disposition=CreateDisposition.CREATE)
         machine.win32.close_handle(process, h)
-        assert machine.counters["fs.change_notifications"] == 0
+        assert machine.perf.value("fs.change_notifications") == 0
 
     def test_closed_watcher_not_notified(self, machine, process,
                                          make_file_on):
@@ -84,7 +84,7 @@ class TestWatchDirectory:
             process, r"C:\d\new.txt", access=FileAccess.GENERIC_WRITE,
             disposition=CreateDisposition.CREATE)
         machine.win32.close_handle(process, h)
-        assert machine.counters["fs.change_notifications"] == 0
+        assert machine.perf.value("fs.change_notifications") == 0
 
     def test_watch_bad_handle(self, machine, process):
         assert machine.win32.watch_directory(process, 404) == \

@@ -10,7 +10,9 @@ figures 13/14 and §9 numbers).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -35,6 +37,78 @@ from repro.nt.perf import (
 from repro.nt.system import Machine, MachineConfig
 from repro.nt.tracing.records import TraceEventKind
 from repro.nt.fs.volume import Volume
+
+
+# The machine once kept a second counter table beside the registry.  Its
+# 38 names, each with the registry counter that now counts the same
+# event: ten renamed, the other 28 under their own name.
+LEGACY_COUNTERS = {
+    "cc.read_hits": "cc.copy_read.hits",
+    "cc.read_misses": "cc.copy_read.misses",
+    "cc.prefetches": "cc.copy_read.misses",
+    "cc.cached_writes": "cc.copy_write.calls",
+    "cc.pages_flushed": "cc.flush.pages",
+    "cc.read_aheads": "cc.readahead.issued",
+    "mm.paging_reads": "mm.page_ins",
+    "mm.paging_writes": "mm.page_outs",
+    "rdr.wire_requests": "rdr.wire.requests",
+    "rdr.wire_transfers": "rdr.wire.transfers",
+}
+LEGACY_COUNTERS.update((name, name) for name in (
+    "cc.cache_maps_initialized", "cc.dirty_discarded_on_cleanup",
+    "cc.dirty_discarded_on_delete", "cc.dirty_purged_on_truncate",
+    "cc.pages_evicted", "cc.reads_past_eof", "cc.set_end_of_file",
+    "fastio.declined", "fastio.mdl_reads", "fs.change_notifications",
+    "fs.explicit_flushes", "fs.files_created", "fs.files_deleted",
+    "fs.files_overwritten", "fs.files_renamed", "fs.sharing_violations",
+    "lw.deferred_closes", "lw.pages_written", "lw.scans",
+    "mm.image_cold_loads", "mm.image_page_ins", "mm.image_warm_loads",
+    "mm.images_evicted", "replay.records_injected", "replay.records_skipped",
+    "win32.open_failures", "win32.opens", "win32.volume_mounted_checks",
+))
+
+# The legacy table's non-zero values for ``small_study``, recorded from the
+# last code that kept it: fleet totals, and the sha256 of the sorted JSON
+# of the per-machine values.
+LEGACY_TOTALS = {
+    "cc.cache_maps_initialized": 1465,
+    "cc.cached_writes": 8457,
+    "cc.dirty_discarded_on_cleanup": 23,
+    "cc.dirty_discarded_on_delete": 7194,
+    "cc.dirty_purged_on_truncate": 47,
+    "cc.pages_evicted": 20666,
+    "cc.pages_flushed": 9793,
+    "cc.prefetches": 1086,
+    "cc.read_aheads": 1357,
+    "cc.read_hits": 6708,
+    "cc.read_misses": 1086,
+    "cc.reads_past_eof": 267,
+    "cc.set_end_of_file": 639,
+    "fastio.declined": 152,
+    "fastio.mdl_reads": 217,
+    "fs.change_notifications": 2,
+    "fs.explicit_flushes": 37,
+    "fs.files_created": 454,
+    "fs.files_deleted": 57,
+    "fs.files_overwritten": 54,
+    "fs.sharing_violations": 75,
+    "lw.deferred_closes": 691,
+    "lw.pages_written": 433,
+    "lw.scans": 531,
+    "mm.image_cold_loads": 166,
+    "mm.image_page_ins": 166,
+    "mm.image_warm_loads": 86,
+    "mm.images_evicted": 36,
+    "mm.paging_reads": 2670,
+    "mm.paging_writes": 1489,
+    "rdr.wire_requests": 764,
+    "rdr.wire_transfers": 719,
+    "win32.open_failures": 591,
+    "win32.opens": 6222,
+    "win32.volume_mounted_checks": 2314,
+}
+LEGACY_SHA256 = ("3bc2371a1034e1579afc11713b3b8708"
+                 "88b9e9a2f6009ef2d04494667fe28505")
 
 
 class TestPrimitives:
@@ -81,13 +155,6 @@ class TestRegistry:
         reg = PerfRegistry("m")
         assert reg.counter("a") is reg.counter("a")
         assert reg.histogram("h") is reg.histogram("h")
-
-    def test_disabled_convenience_methods_noop(self):
-        reg = PerfRegistry("m", enabled=False)
-        reg.count("a")
-        reg.observe("h", 100)
-        assert reg.value("a") == 0
-        assert reg.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_snapshot_drops_untouched_entries(self):
         reg = PerfRegistry("m")
@@ -225,15 +292,6 @@ class TestMachineInstrumentation:
         assert snap["histograms"]["io.irp.latency.read"]["count"] == \
             counters["io.irp.dispatched.read"]
 
-    def test_disabled_registry_stays_empty(self):
-        machine = Machine(MachineConfig(name="quiet", seed=3,
-                                        perf_enabled=False))
-        machine.mount("C", Volume("C", capacity_bytes=2 * 1024 ** 3))
-        _drive_small_workload(machine)
-        assert machine.perf.snapshot() == {"counters": {}, "histograms": {}}
-        # The legacy machine counters are unaffected by the perf switch.
-        assert machine.counters["cc.cached_writes"] > 0
-
     def test_filter_drop_counter(self):
         machine = Machine(MachineConfig(name="drops", seed=3))
         machine.mount("C", Volume("C", capacity_bytes=2 * 1024 ** 3))
@@ -291,22 +349,27 @@ class TestWarehouseCrossCheck:
 
     def test_sec9_cache_hit_ratio_matches(self, small_study, small_warehouse,
                                           aggregate):
-        cache = analyze_cache(small_warehouse, small_study.counters)
+        cache = analyze_cache(small_warehouse, small_study.perf)
         hits = aggregate["cc.copy_read.hits"]
         misses = aggregate["cc.copy_read.misses"]
         assert cache.read_cache_hit_pct == pytest.approx(
             100.0 * hits / (hits + misses))
 
     def test_perf_mirrors_legacy_machine_counters(self, small_study):
-        for name, perf_snap in small_study.perf.items():
-            legacy = small_study.counters[name]
-            counters = perf_snap["counters"]
-            assert counters.get("cc.copy_read.hits", 0) == \
-                legacy.get("cc.read_hits", 0)
-            assert counters.get("cc.copy_read.misses", 0) == \
-                legacy.get("cc.read_misses", 0)
-            assert counters.get("lw.pages_written", 0) == \
-                legacy.get("lw.pages_written", 0)
+        # Every event the legacy table counted is still counted, once, by
+        # the registry: reading each legacy name through its registry twin
+        # reproduces the recorded values machine by machine.
+        legacy = {
+            machine: {old: snap["counters"][new]
+                      for old, new in LEGACY_COUNTERS.items()
+                      if snap["counters"].get(new, 0)}
+            for machine, snap in small_study.perf.items()}
+        totals = {old: sum(values.get(old, 0) for values in legacy.values())
+                  for old in LEGACY_COUNTERS}
+        assert {old: n for old, n in totals.items() if n} == LEGACY_TOTALS
+        digest = hashlib.sha256(
+            json.dumps(legacy, sort_keys=True).encode("utf-8")).hexdigest()
+        assert digest == LEGACY_SHA256
 
     def test_readahead_issued_vs_consumed(self, aggregate):
         if "cc.readahead.issued" not in aggregate:
@@ -406,3 +469,65 @@ class TestCli:
         rc = cli_main(["report", str(tmp_path / "t"), "--perf"])
         assert rc == 0
         assert "Performance monitor" in capsys.readouterr().out
+
+
+def _snapshot(**sections) -> dict:
+    return {"format": "nt-perf-1", "machines": {"m00": sections}}
+
+
+def _histogram(bucket_counts: list, count: int) -> dict:
+    return {"count": count, "sum_ticks": 10, "max_ticks": 5,
+            "bucket_counts": bucket_counts}
+
+
+# perf.json documents the CLI must refuse with a one-line error instead of
+# a traceback from the table, merge or OpenMetrics code downstream.
+MALFORMED_PERF_JSON = {
+    "document-is-list": [],
+    "document-is-string": "nt-perf-1",
+    "no-machines": {"format": "nt-perf-1"},
+    "machines-is-list": {"format": "nt-perf-1", "machines": []},
+    "counters-is-list": _snapshot(counters=[1]),
+    "counter-not-integer": _snapshot(counters={"a": "x"}),
+    "gauge-not-integer": _snapshot(gauges={"g": 1.5}),
+    "histogram-short": _snapshot(histograms={"h": _histogram([1], 1)}),
+    "histogram-negative-bucket": _snapshot(histograms={"h": _histogram(
+        [-1, 2] + [0] * (N_BUCKETS - 1), 1)}),
+    "histogram-sum-not-count": _snapshot(histograms={"h": _histogram(
+        [1] + [0] * N_BUCKETS, 2)}),
+    "meta-is-list": {"format": "nt-perf-1", "meta": [], "machines": {}},
+    "series-kind-differs": {"format": "nt-perf-1", "machines": {
+        "m00": {"counters": {"x": 1}}, "m01": {"gauges": {"x": 2}}}},
+}
+
+
+@pytest.fixture(scope="module")
+def perf_archive(tmp_path_factory):
+    """A one-machine archive written with ``--perf``."""
+    out = tmp_path_factory.mktemp("perf-archive") / "t"
+    assert cli_main(["run", "--machines", "1", "--seconds", "5",
+                     "--scale", "0.05", "--seed", "3", "--perf",
+                     "--out", str(out)]) == 0
+    return out
+
+
+class TestMalformedPerfJson:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PERF_JSON))
+    @pytest.mark.parametrize("command", ["perf", "report"])
+    def test_cli_exits_with_cannot_read(self, perf_archive, tmp_path,
+                                        capsys, command, case):
+        archive = tmp_path / "t"
+        shutil.copytree(perf_archive, archive)
+        perf_path = archive / "perf.json"
+        perf_path.write_text(json.dumps(MALFORMED_PERF_JSON[case]))
+        argv = ([command, str(archive)] if command == "perf"
+                else [command, str(archive), "--perf"])
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        # A string exit code is printed to stderr and exits with status 1.
+        assert str(excinfo.value.code).startswith(
+            f"cannot read {perf_path}: {perf_path}: ")
+
+    def test_loader_accepts_what_the_writer_writes(self, perf_archive):
+        doc = load_perf_json(perf_archive / "perf.json")
+        assert doc["aggregate"] == merge_snapshots(doc["machines"].values())

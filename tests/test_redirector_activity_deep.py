@@ -41,23 +41,23 @@ class TestRedirectorAccounting:
                               access=FileAccess.GENERIC_WRITE,
                               disposition=CreateDisposition.CREATE)
         w.write_file(process, h, 65536)
-        transfers_before = machine.counters["rdr.wire_transfers"]
+        transfers_before = machine.perf.value("rdr.wire.transfers")
         w.flush_file_buffers(process, h)
-        assert machine.counters["rdr.wire_transfers"] > transfers_before
+        assert machine.perf.value("rdr.wire.transfers") > transfers_before
         w.close_handle(process, h)
 
     def test_failed_remote_open_still_crosses_wire(self, machine, process,
                                                    remote):
-        requests_before = machine.counters["rdr.wire_requests"]
+        requests_before = machine.perf.value("rdr.wire.requests")
         status, _h = machine.win32.create_file(process, r"\\s\h\nope.txt")
         assert status.is_error
-        assert machine.counters["rdr.wire_requests"] > requests_before
+        assert machine.perf.value("rdr.wire.requests") > requests_before
 
     def test_remote_directory_ops_cross_wire(self, machine, process,
                                              remote):
-        requests_before = machine.counters["rdr.wire_requests"]
+        requests_before = machine.perf.value("rdr.wire.requests")
         machine.win32.find_files(process, r"\\s\h")
-        assert machine.counters["rdr.wire_requests"] > requests_before
+        assert machine.perf.value("rdr.wire.requests") > requests_before
 
     def test_remote_lazy_flush_is_wire_traffic(self, machine, process,
                                                remote):
@@ -67,9 +67,9 @@ class TestRedirectorAccounting:
                               disposition=CreateDisposition.CREATE)
         w.write_file(process, h, 32768)
         w.close_handle(process, h)
-        before = machine.counters["rdr.wire_transfers"]
+        before = machine.perf.value("rdr.wire.transfers")
         machine.run_until(machine.clock.now + 4 * TICKS_PER_SECOND)
-        assert machine.counters["rdr.wire_transfers"] > before
+        assert machine.perf.value("rdr.wire.transfers") > before
 
 
 class TestActivityMath:
@@ -131,11 +131,11 @@ class TestLazyWriterAging:
         w.close_handle(process, h)
         # Delete before the aged flush happens.
         w.delete_file(process, r"C:\doomed.bin")
-        writes_before = machine.counters["mm.paging_writes"]
+        writes_before = machine.perf.value("mm.page_outs")
         machine.run_until(machine.clock.now + 5 * TICKS_PER_SECOND)
         assert fo.closed
         # The dirty data was never written: deletion beat the writer.
-        assert machine.counters["mm.paging_writes"] == writes_before
+        assert machine.perf.value("mm.page_outs") == writes_before
 
     def test_space_accounting_intact_after_deleted_pending_close(
             self, machine, process):

@@ -64,7 +64,7 @@ class TestSharingInDriver:
             process, r"C:\f.txt", access=FileAccess.GENERIC_WRITE,
             disposition=CreateDisposition.OPEN)
         assert status == NtStatus.SHARING_VIOLATION
-        assert machine.counters["fs.sharing_violations"] == 1
+        assert machine.perf.value("fs.sharing_violations") == 1
         w.close_handle(process, holder)
 
     def test_grant_released_at_cleanup(self, machine, process,

@@ -119,7 +119,7 @@ class TestMachineLifecycle:
 
     def test_lazy_writer_installed(self, machine):
         machine.run_until(3 * TICKS_PER_SECOND)
-        assert machine.counters["lw.scans"] == 3
+        assert machine.perf.value("lw.scans") == 3
 
     def test_volume_handle_available(self, machine):
         fo = machine.volume_handle(machine.drives["C"])

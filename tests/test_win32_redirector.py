@@ -93,22 +93,24 @@ class TestRemoteAccess:
         assert remote.resolve(r"\docs\new.doc") is not None
 
     def test_wire_costs_charged(self, machine, process, remote):
-        machine.counters.clear()
+        perf = machine.perf
+        requests = perf.value("rdr.wire.requests")
+        transfers = perf.value("rdr.wire.transfers")
         w = machine.win32
         _s, h = w.create_file(process, r"\\server\home\docs\report.doc")
-        assert machine.counters["rdr.wire_requests"] >= 1
+        assert perf.value("rdr.wire.requests") > requests
         w.read_file(process, h, 4096)  # cold: paging read crosses the wire
-        assert machine.counters["rdr.wire_transfers"] >= 1
+        assert perf.value("rdr.wire.transfers") > transfers
         w.close_handle(process, h)
 
     def test_cached_remote_read_stays_local(self, machine, process, remote):
         w = machine.win32
         _s, h = w.create_file(process, r"\\server\home\docs\report.doc")
         w.read_file(process, h, 4096)
-        transfers = machine.counters["rdr.wire_transfers"]
+        transfers = machine.perf.value("rdr.wire.transfers")
         # Second read of the same data: served by the local cache.
         w.read_file(process, h, 4096, offset=0)
-        assert machine.counters["rdr.wire_transfers"] == transfers
+        assert machine.perf.value("rdr.wire.transfers") == transfers
         w.close_handle(process, h)
 
     def test_remote_open_slower_than_local(self, machine, process, remote,

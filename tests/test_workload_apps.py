@@ -117,9 +117,9 @@ class TestAppSignatures:
 
     def test_browser_churns_cache(self, app_env):
         machine, catalog = app_env
-        before = machine.counters["fs.files_created"]
+        before = machine.perf.value("fs.files_created")
         run_app(machine, catalog, WebBrowserApp, bursts=4)
-        assert machine.counters["fs.files_created"] > before
+        assert machine.perf.value("fs.files_created") > before
 
     def test_mail_flushes(self, app_env):
         machine, catalog = app_env
@@ -157,9 +157,9 @@ class TestAppSignatures:
 
     def test_scientific_uses_mapped_views(self, app_env):
         machine, catalog = app_env
-        before = machine.counters["mm.paging_reads"]
+        before = machine.perf.value("mm.page_ins")
         run_app(machine, catalog, ScientificApp, bursts=2)
-        assert machine.counters["mm.paging_reads"] > before
+        assert machine.perf.value("mm.page_ins") > before
 
     def test_services_keeps_handles_open(self, app_env):
         machine, catalog = app_env
@@ -189,15 +189,15 @@ class TestAppSignatures:
 
     def test_winlogon_populates_profile(self, app_env):
         machine, catalog = app_env
-        before = machine.counters["fs.files_created"]
+        before = machine.perf.value("fs.files_created")
         run_app(machine, catalog, WinlogonApp, bursts=1)
-        assert machine.counters["fs.files_created"] > before
+        assert machine.perf.value("fs.files_created") > before
 
     def test_image_loading_on_start(self, app_env):
         machine, catalog = app_env
-        before = machine.counters["mm.image_cold_loads"] \
-            + machine.counters["mm.image_warm_loads"]
+        before = machine.perf.value("mm.image_cold_loads") \
+            + machine.perf.value("mm.image_warm_loads")
         run_app(machine, catalog, NotepadApp, bursts=1)
-        after = machine.counters["mm.image_cold_loads"] \
-            + machine.counters["mm.image_warm_loads"]
+        after = machine.perf.value("mm.image_cold_loads") \
+            + machine.perf.value("mm.image_warm_loads")
         assert after > before

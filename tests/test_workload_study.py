@@ -44,7 +44,7 @@ class TestStudyRun:
                 assert count == 2
 
     def test_counters_per_machine(self, small_study):
-        assert set(small_study.counters) == \
+        assert set(small_study.perf) == \
             set(small_study.machine_categories)
 
     def test_deterministic_given_seed(self):
@@ -71,7 +71,7 @@ class TestEndToEndBands:
 
     @pytest.fixture(scope="class")
     def summary(self, small_study, small_warehouse):
-        return summarize_observations(small_warehouse, small_study.counters)
+        return summarize_observations(small_warehouse, small_study.perf)
 
     def test_control_opens_dominate(self, summary):
         # Paper: 74%.
