@@ -268,54 +268,12 @@ class Digest:
         d.vmin = doc["min"]
         d.vmax = doc["max"]
         weights = list(d.buckets.values())
-        if not _counts_valid(weights) or sum(weights) != d.weight:
+        if (not all(isinstance(w, int) and w >= 0 for w in weights)
+                or sum(weights) != d.weight):
             raise ValueError(
                 f"malformed digest: its {len(weights)} bucket weights are "
                 f"not non-negative integers summing to w={d.weight!r}")
         return d
-
-
-def _counts_valid(counts: list) -> bool:
-    return all(isinstance(c, int) and c >= 0 for c in counts)
-
-
-def _hist_to_dict(h: LatencyHistogram) -> dict:
-    return h.to_dict()
-
-
-def _hist_from_dict(name: str, doc: dict) -> LatencyHistogram:
-    """Decode one histogram; ``ValueError`` unless it has
-    ``N_BUCKETS + 1`` non-negative integer buckets summing to its count."""
-    h = LatencyHistogram(name)
-    h.count = doc["count"]
-    h.sum_ticks = doc["sum_ticks"]
-    h.max_ticks = doc["max_ticks"]
-    h.bucket_counts = list(doc["bucket_counts"])
-    if (len(h.bucket_counts) != N_BUCKETS + 1
-            or not _counts_valid(h.bucket_counts)
-            or sum(h.bucket_counts) != h.count):
-        raise ValueError(
-            f"malformed histogram {name}: {len(h.bucket_counts)} buckets "
-            f"{h.bucket_counts} (need {N_BUCKETS + 1} non-negative counts "
-            f"summing to count={h.count!r})")
-    return h
-
-
-def _hist_check_mergeable(a: LatencyHistogram, b: LatencyHistogram) -> None:
-    if len(a.bucket_counts) != len(b.bucket_counts):
-        raise ValueError(
-            f"cannot merge histogram {b.name} ({len(b.bucket_counts)} "
-            f"buckets) into {a.name} ({len(a.bucket_counts)} buckets)")
-
-
-def _hist_merge(a: LatencyHistogram, b: LatencyHistogram) -> None:
-    _hist_check_mergeable(a, b)
-    a.count += b.count
-    a.sum_ticks += b.sum_ticks
-    if b.max_ticks > a.max_ticks:
-        a.max_ticks = b.max_ticks
-    a.bucket_counts = [x + y
-                       for x, y in zip(a.bucket_counts, b.bucket_counts)]
 
 
 # --------------------------------------------------------------------- #
@@ -528,8 +486,14 @@ class StatsSketch:
         if overlap:
             raise ValueError(
                 f"shards overlap on machine indices {sorted(overlap)}")
+        # Merge the histograms into fresh ones first: a bucket-layout
+        # mismatch then refuses the whole merge before anything changes.
+        latency = {rt: LatencyHistogram(self.latency[rt].name)
+                   for rt in REQUEST_TYPES}
         for rt in REQUEST_TYPES:
-            _hist_check_mergeable(self.latency[rt], other.latency[rt])
+            latency[rt].merge(self.latency[rt])
+            latency[rt].merge(other.latency[rt])
+        self.latency = latency
         self.n_records += other.n_records
         if other.t_min >= 0 and (self.t_min < 0 or other.t_min < self.t_min):
             self.t_min = other.t_min
@@ -540,7 +504,6 @@ class StatsSketch:
         self.record_bytes_read += other.record_bytes_read
         self.record_bytes_written += other.record_bytes_written
         for rt in REQUEST_TYPES:
-            _hist_merge(self.latency[rt], other.latency[rt])
             self.req_size[rt].merge(other.req_size[rt])
         for b, n in other.bursts.items():
             self.bursts[b] = self.bursts.get(b, 0) + n
@@ -584,7 +547,7 @@ class StatsSketch:
                           for k in sorted(self.kind_counts)},
                 "bytes_read": self.record_bytes_read,
                 "bytes_written": self.record_bytes_written,
-                "latency": {rt: _hist_to_dict(self.latency[rt])
+                "latency": {rt: self.latency[rt].to_dict()
                             for rt in REQUEST_TYPES},
                 "req_size": {rt: self.req_size[rt].to_dict()
                              for rt in REQUEST_TYPES},
@@ -634,8 +597,8 @@ class StatsSketch:
         sketch.kind_counts = {int(k): v for k, v in rec["kinds"].items()}
         sketch.record_bytes_read = rec["bytes_read"]
         sketch.record_bytes_written = rec["bytes_written"]
-        sketch.latency = {rt: _hist_from_dict(f"sketch.{rt}",
-                                              rec["latency"][rt])
+        sketch.latency = {rt: LatencyHistogram.from_dict(
+                              f"sketch.{rt}", rec["latency"][rt])
                           for rt in REQUEST_TYPES}
         sketch.req_size = {rt: Digest.from_dict(rec["req_size"][rt])
                            for rt in REQUEST_TYPES}

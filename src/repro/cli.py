@@ -11,7 +11,6 @@
     python -m repro figures traces/ --out figure-data/
     python -m repro perf   --machines 2 --seconds 30
     python -m repro metrics traces/ --openmetrics metrics.prom
-    python -m repro profile --machines 2 --seconds 30
     python -m repro replay --traces traces/ --mode closed
     python -m repro whatif --traces traces/ \
         --grid "devices=hdd_ide,ssd×cache_mb=4,16,64"
@@ -30,13 +29,12 @@ fresh study — ``--streaming`` computes them with the bounded-memory
 folds and ``--reconcile`` proves them exactly equal to the materialized
 warehouse; ``figures`` exports every figure's data series as CSV; ``perf``
 prints the performance-monitor counter table (from a dumped ``perf.json``
-or a fresh study) and can emit a wall-clock pipeline baseline for CI;
-``metrics`` analyses the flight-recorder sidecar of a ``--metrics``
-archive — per-interval fleet activity with figure-8 burst/dispersion
-analysis, reconciled against the archive's record counts, with optional
-OpenMetrics text export of the perf counters; ``profile`` self-profiles
-the simulator's IRP dispatch → cache → trace-filter hot path and reports
-records/sec (the CI throughput baseline); ``replay`` re-drives an
+or a fresh study) and writes the ``nt-throughput-2`` wall-clock baseline
+(pipeline phases, records/sec, host calibration) for CI; ``metrics``
+analyses the flight-recorder sidecar of a ``--metrics`` archive —
+per-interval fleet activity with figure-8 burst/dispersion analysis,
+reconciled against the archive's record counts, with optional
+OpenMetrics text export of the perf counters; ``replay`` re-drives an
 archived study through fresh machines and prints the first- vs
 second-generation fidelity report; ``whatif`` replays one archived study
 across a storage-device × cache-size grid and prints a deterministic
@@ -111,9 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           " series each simulated second and write a"
                           " metrics.ntmetrics sidecar next to the archive"
                           " (.nttrace files are unaffected)")
-    run.add_argument("--profile", action="store_true",
-                     help="self-profile the simulator hot path and print"
-                          " the per-subsystem wall-clock table")
     run.add_argument("--progress", action="store_true",
                      help="emit per-machine telemetry lines to stderr")
     _add_workers_option(run)
@@ -198,9 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--json", type=Path, default=None,
                       help="write the per-machine perf.json here")
     perf.add_argument("--bench-json", type=Path, default=None,
-                      help="write wall-clock phase timings of the"
-                           " simulate/warehouse/analysis pipeline here"
-                           " (the CI BENCH_perf baseline)")
+                      help="write the throughput baseline here: wall-clock"
+                           " phases of the simulate/warehouse/analysis"
+                           " pipeline, records/sec and host calibration"
+                           " (the committed BENCH_throughput.json)")
     _add_workers_option(perf)
 
     metrics = sub.add_parser(
@@ -220,17 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the archive's perf counters in"
                               " OpenMetrics text format here (requires"
                               " the archive's perf.json)")
-
-    profile = sub.add_parser(
-        "profile", help="self-profile the simulator hot path")
-    profile.add_argument("--machines", type=int, default=2)
-    profile.add_argument("--seconds", type=float, default=30.0)
-    profile.add_argument("--seed", type=int, default=1998)
-    profile.add_argument("--scale", type=float, default=0.12)
-    profile.add_argument("--json", type=Path, default=None,
-                         help="write the throughput baseline here (the CI"
-                              " BENCH_throughput baseline)")
-    _add_workers_option(profile)
 
     replay = sub.add_parser(
         "replay", help="re-drive an archived study through the simulator")
@@ -256,9 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              " metrics.ntmetrics sidecar next to the"
                              " second-generation archive (meaningful"
                              " pacing needs --mode open)")
-    replay.add_argument("--profile", action="store_true",
-                        help="self-profile the replay hot path and print"
-                             " the per-subsystem wall-clock table")
     _add_workers_option(replay)
 
     whatif = sub.add_parser(
@@ -377,25 +359,20 @@ def _print_perf_table(perf_by_machine, n_machines: int) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    import time
-
     from repro import StudyConfig, StudyTelemetry, run_study
     from repro.nt.flight.log import (DEFAULT_METRICS_INTERVAL_SECONDS,
                                      METRICS_FILENAME, write_metrics_log)
     from repro.nt.tracing.store import save_study
 
     telemetry = StudyTelemetry() if args.progress else None
-    begin = time.perf_counter()
     result = run_study(StudyConfig(
         n_machines=args.machines, duration_seconds=args.seconds,
         seed=args.seed, content_scale=args.scale,
         workers=args.workers, spans_enabled=args.spans,
         verifier_enabled=args.verifier,
         metrics_interval_seconds=(DEFAULT_METRICS_INTERVAL_SECONDS
-                                  if args.metrics else 0.0),
-        profile_enabled=args.profile),
+                                  if args.metrics else 0.0)),
         telemetry=telemetry)
-    wall_seconds = time.perf_counter() - begin
     print(f"collected {result.total_records} records from "
           f"{len(result.collectors)} machines")
     if args.spans:
@@ -421,19 +398,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             _write_perf_json(result.perf, _study_meta(args),
                              args.out / "perf.json")
         _print_perf_table(result.perf, len(result.collectors))
-    if args.profile:
-        _print_profile(result.profiles, result.total_records, wall_seconds)
     return 0
-
-
-def _print_profile(profiles, total_records: int, wall_seconds: float,
-                   title: str = "Hot-path profile") -> None:
-    from repro.nt.flight.profiler import (format_profile_table,
-                                          merge_profiles)
-
-    print()
-    print(format_profile_table(merge_profiles(profiles.values()),
-                               total_records, wall_seconds, title=title))
 
 
 def _study_meta(args: argparse.Namespace) -> dict:
@@ -728,19 +693,59 @@ def cmd_perf(args: argparse.Namespace) -> int:
     if args.bench_json is not None:
         from repro.workload.parallel import resolve_workers
 
+        simulate_seconds = telemetry.phase_seconds["simulate"]
         payload = telemetry.bench_payload()
-        payload["records"] = result.total_records
-        payload["machines"] = len(result.collectors)
-        # null = serial; otherwise the resolved worker-process count, so
-        # the CI baseline can track the serial-vs-parallel speedup.
-        payload["workers"] = (
-            None if args.workers is None
-            else resolve_workers(args.workers, args.machines))
+        payload.update({
+            "format": "nt-throughput-2",
+            "records": result.total_records,
+            "machines": len(result.collectors),
+            # null = serial; otherwise the resolved worker-process count,
+            # so CI can track the serial-vs-parallel speedup.
+            "workers": (None if args.workers is None
+                        else resolve_workers(args.workers, args.machines)),
+            "records_per_second": (result.total_records / simulate_seconds
+                                   if simulate_seconds else float("nan")),
+            "calibration_seconds": host_calibration_seconds(),
+            # A pure function of the study parameters: two runs with the
+            # same parameters write identical blocks, which is what lets
+            # the CI gate tell "the simulator changed" from "the runner
+            # was slow".
+            "deterministic": {
+                "machines": args.machines,
+                "seconds": args.seconds,
+                "seed": args.seed,
+                "scale": args.scale,
+                "records": result.total_records,
+            },
+        })
         args.bench_json.parent.mkdir(parents=True, exist_ok=True)
         args.bench_json.write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        print(f"wrote pipeline baseline to {args.bench_json}")
+        print(f"wrote throughput baseline to {args.bench_json}")
     return 0
+
+
+def host_calibration_seconds(repeats: int = 5) -> float:
+    """Best-of-``repeats`` seconds for a fixed pure-Python workload.
+
+    The throughput baseline records this next to records/sec so the CI
+    gate can rescale a committed baseline to the host it runs on: only
+    the ratio of measured throughput to calibrated host speed matters,
+    never the absolute numbers, which keeps the regression band from
+    tripping on a slower (or faster) runner.
+    """
+    import time
+
+    best = float("inf")
+    for _ in range(repeats):
+        begin = time.perf_counter()
+        acc = 0
+        table = {}
+        for i in range(100_000):
+            acc += i & 1023
+            table[i & 511] = acc
+        best = min(best, time.perf_counter() - begin)
+    return best
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -800,67 +805,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import StudyConfig, StudyTelemetry, run_study
-    from repro.nt.flight.profiler import (host_calibration_seconds,
-                                          merge_profiles)
-
-    telemetry = StudyTelemetry()
-    with telemetry.phase("simulate"):
-        result = run_study(StudyConfig(
-            n_machines=args.machines, duration_seconds=args.seconds,
-            seed=args.seed, content_scale=args.scale,
-            workers=args.workers, profile_enabled=True),
-            telemetry=telemetry)
-    wall_seconds = telemetry.phase_seconds["simulate"]
-    _print_profile(result.profiles, result.total_records, wall_seconds)
-    if args.json is not None:
-        from repro.workload.parallel import resolve_workers
-
-        merged = merge_profiles(result.profiles.values())
-        records_per_second = (result.total_records / wall_seconds
-                              if wall_seconds else float("nan"))
-        workers = (None if args.workers is None
-                   else resolve_workers(args.workers, args.machines))
-        payload = {
-            "format": "nt-throughput-1",
-            "machines": args.machines,
-            "seconds": args.seconds,
-            "seed": args.seed,
-            "records": result.total_records,
-            "wall_seconds": wall_seconds,
-            "records_per_second": records_per_second,
-            "workers": workers,
-            "calibration_seconds": host_calibration_seconds(),
-            "bins": merged,
-            # Everything under "deterministic" is a pure function of the
-            # study parameters — no wall-clock, no host speed.  Two runs
-            # with the same parameters must produce identical blocks
-            # (tests/test_throughput_gate.py asserts this), which is what
-            # lets the CI gate distinguish "the simulator changed" from
-            # "the runner was slow".
-            "deterministic": {
-                "machines": args.machines,
-                "seconds": args.seconds,
-                "seed": args.seed,
-                "scale": args.scale,
-                "records": result.total_records,
-                "bin_calls": {name: data["calls"]
-                              for name, data in merged.items()},
-            },
-        }
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        print(f"wrote throughput baseline to {args.json}")
-    return 0
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     import json
-    import time
 
     from repro import StudyTelemetry
     from repro.analysis.fidelity import fidelity_report
@@ -873,16 +819,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = ReplayConfig(
         mode=args.mode, seed=args.seed, workers=args.workers,
         metrics_interval_seconds=(DEFAULT_METRICS_INTERVAL_SECONDS
-                                  if args.metrics else 0.0),
-        profile_enabled=args.profile)
+                                  if args.metrics else 0.0))
     telemetry = StudyTelemetry() if args.progress else None
-    begin = time.perf_counter()
     try:
         source_paths = study_paths(args.traces)
         result = replay_archive(args.traces, config, telemetry=telemetry)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
-    wall_seconds = time.perf_counter() - begin
     report = fidelity_report(
         [(machine.name, iter_trace_records(path),
           machine.collector.records, machine.outcome.to_dict())
@@ -898,9 +841,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
             path = args.out / METRICS_FILENAME
             nbytes = write_metrics_log(result.metrics_sections, path)
             print(f"wrote metrics log to {path} ({nbytes / 1024:.0f} KB)")
-    if args.profile:
-        _print_profile(result.profiles, result.total_replayed,
-                       wall_seconds, title="Replay hot-path profile")
     if args.fidelity_json is not None:
         args.fidelity_json.parent.mkdir(parents=True, exist_ok=True)
         args.fidelity_json.write_text(
@@ -1131,7 +1071,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"run": cmd_run, "study": cmd_study,
                 "report": cmd_report,
                 "figures": cmd_figures, "perf": cmd_perf,
-                "metrics": cmd_metrics, "profile": cmd_profile,
+                "metrics": cmd_metrics,
                 "replay": cmd_replay, "whatif": cmd_whatif,
                 "spans": cmd_spans, "verify": cmd_verify}
     return handlers[args.command](args)

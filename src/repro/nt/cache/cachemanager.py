@@ -17,7 +17,6 @@ from repro.common.clock import ticks_from_micros
 from repro.common.flags import FileObjectFlags
 from repro.common.status import NtStatus
 from repro.nt.cache.readahead import ReadAheadPredictor
-from repro.nt.flight.profiler import BIN_COPY_READ, BIN_COPY_WRITE
 from repro.nt.fs.nodes import FileNode
 from repro.nt.io.fileobject import FileObject
 
@@ -126,7 +125,6 @@ class CacheManager:
         self.machine = machine
         self.capacity_pages = capacity_bytes // PAGE_SIZE
         perf = machine.perf
-        self._profiler = machine.profiler
         self._perf_hits = perf.counter("cc.copy_read.hits")
         self._perf_misses = perf.counter("cc.copy_read.misses")
         self._perf_writes = perf.counter("cc.copy_write.calls")
@@ -290,30 +288,6 @@ class CacheManager:
 
     def copy_read(self, fo: FileObject, offset: int, length: int
                   ) -> tuple[NtStatus, int, bool]:
-        """Profiled entry point for :meth:`_do_copy_read` (CcCopyRead)."""
-        profiler = self._profiler
-        if profiler.enabled:
-            profiler.enter(BIN_COPY_READ)
-            try:
-                return self._do_copy_read(fo, offset, length)
-            finally:
-                profiler.exit()
-        return self._do_copy_read(fo, offset, length)
-
-    def copy_write(self, fo: FileObject, offset: int, length: int
-                   ) -> tuple[NtStatus, int]:
-        """Profiled entry point for :meth:`_do_copy_write` (CcCopyWrite)."""
-        profiler = self._profiler
-        if profiler.enabled:
-            profiler.enter(BIN_COPY_WRITE)
-            try:
-                return self._do_copy_write(fo, offset, length)
-            finally:
-                profiler.exit()
-        return self._do_copy_write(fo, offset, length)
-
-    def _do_copy_read(self, fo: FileObject, offset: int, length: int
-                      ) -> tuple[NtStatus, int, bool]:
         """CcCopyRead: satisfy a read from the cache, faulting misses in.
 
         Returns (status, bytes returned, hit).  A miss triggers a
@@ -364,8 +338,8 @@ class CacheManager:
         status = NtStatus.SUCCESS
         return status, returned, hit
 
-    def _do_copy_write(self, fo: FileObject, offset: int, length: int
-                       ) -> tuple[NtStatus, int]:
+    def copy_write(self, fo: FileObject, offset: int, length: int
+                   ) -> tuple[NtStatus, int]:
         """CcCopyWrite: stage a write in the cache as dirty pages.
 
         Partial-page writes over existing valid data fault the page in

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 from repro.common.clock import TICKS_PER_SECOND
 from repro.nt.cache.cachemanager import SharedCacheMap, page_span
-from repro.nt.flight.profiler import BIN_LAZY_WRITER
 from repro.nt.io.fileobject import FileObject
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,28 +65,20 @@ class LazyWriter:
     def scan(self) -> None:
         """One lazy-writer pass; reschedules itself."""
         machine = self.machine
-        profiler = machine.profiler
-        prof_on = profiler.enabled
-        if prof_on:
-            profiler.enter(BIN_LAZY_WRITER)
-        try:
-            self._perf_scans.add(1)
-            self._complete_pending_closes()
-            for cmap in list(machine.cc.dirty_maps):
-                if cmap.pending_close or not cmap.dirty:
-                    continue
-                if cmap.node.is_temporary:
-                    # The temporary attribute keeps the lazy writer's hands
-                    # off the file's pages (§6.3).
-                    continue
-                if cmap.paging_fo is None or cmap.paging_fo.closed:
-                    # No file object left to write through; data is stranded
-                    # until a new open re-initialises caching.
-                    continue
-                self._write_portion(cmap)
-        finally:
-            if prof_on:
-                profiler.exit()
+        self._perf_scans.add(1)
+        self._complete_pending_closes()
+        for cmap in list(machine.cc.dirty_maps):
+            if cmap.pending_close or not cmap.dirty:
+                continue
+            if cmap.node.is_temporary:
+                # The temporary attribute keeps the lazy writer's hands off
+                # the file's pages (§6.3).
+                continue
+            if cmap.paging_fo is None or cmap.paging_fo.closed:
+                # No file object left to write through; data is stranded
+                # until a new open re-initialises caching.
+                continue
+            self._write_portion(cmap)
         machine.schedule(machine.clock.now + LAZY_WRITE_SCAN_INTERVAL_TICKS,
                          self.scan)
 

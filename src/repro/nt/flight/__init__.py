@@ -1,4 +1,4 @@
-"""The flight recorder: streaming time-series metrics and self-profiling.
+"""The flight recorder: streaming time-series metrics.
 
 The paper's strongest results are temporal — burstiness (fig. 8),
 self-similarity (fig. 10) and diurnal operational load (§8) — but the
@@ -12,10 +12,10 @@ perf subsystem only reports end-of-run aggregates.  This package adds the
   :class:`FlightRecorder` that produces it with bounded memory, driven by
   the machine's own timer wheel so archives stay byte-identical whether
   it is on or off.
-* :mod:`repro.nt.flight.profiler` — the host-side
-  :class:`HotPathProfiler` attributing wall-clock time of the IRP
-  dispatch → cache → trace-filter inner loop to per-subsystem bins (the
-  baseline instrument for the ROADMAP's records/sec item).
+
+Everything here runs on simulated time.  Host wall-clock time per layer
+is measured from outside the program (``perfbench/run.py --trace 1``),
+so no host clock is read on the request path.
 """
 
 from repro.nt.flight.log import (
@@ -27,23 +27,15 @@ from repro.nt.flight.log import (
     read_metrics_header,
     write_metrics_log,
 )
-from repro.nt.flight.profiler import (
-    HotPathProfiler,
-    format_profile_table,
-    merge_profiles,
-)
 from repro.nt.flight.recorder import FlightRecorder
 
 __all__ = [
     "DEFAULT_METRICS_INTERVAL_SECONDS",
     "METRICS_FILENAME",
     "FlightRecorder",
-    "HotPathProfiler",
     "IntervalSample",
     "MetricsSection",
-    "format_profile_table",
     "iter_samples",
-    "merge_profiles",
     "read_metrics_header",
     "write_metrics_log",
 ]

@@ -20,7 +20,6 @@ from repro.common.flags import (
     IrpFlags,
 )
 from repro.common.status import NtStatus
-from repro.nt.flight.profiler import BIN_FS_DRIVER
 from repro.nt.fs.nodes import DirectoryNode, FileNode, Node
 from repro.nt.fs.sharing import sharing_permits
 from repro.nt.io.driver import DeviceObject, Driver
@@ -107,13 +106,6 @@ class FileSystemDriver(Driver):
         handler = self._IRP_HANDLERS.get(irp.major)
         if handler is None:
             return irp.complete(NtStatus.INVALID_DEVICE_REQUEST)
-        profiler = self._profiler
-        if profiler.enabled:
-            profiler.enter(BIN_FS_DRIVER)
-            try:
-                return handler(self, irp, device)
-            finally:
-                profiler.exit()
         return handler(self, irp, device)
 
     # -- create -------------------------------------------------------- #
@@ -493,13 +485,6 @@ class FileSystemDriver(Driver):
         handler = self._FASTIO_HANDLERS.get(op)
         if handler is None:
             return FastIoResult.declined()
-        profiler = self._profiler
-        if profiler.enabled:
-            profiler.enter(BIN_FS_DRIVER)
-            try:
-                return handler(self, irp_like, device)
-            finally:
-                profiler.exit()
         return handler(self, irp_like, device)
 
     def _fastio_check_if_possible(self, irp_like: Irp,

@@ -53,9 +53,6 @@ class Driver:
 
     def __init__(self, io: "IoManager") -> None:
         self.io = io
-        # Hot-path self-profiler (repro.nt.flight.profiler), cached so a
-        # profiled dispatch site costs one attribute check when disabled.
-        self._profiler = io.machine.profiler
 
     # ------------------------------------------------------------------ #
     # IRP path.

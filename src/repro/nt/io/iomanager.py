@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 from repro.common.clock import ticks_from_micros
 from repro.common.flags import FileObjectFlags, IrpFlags
 from repro.common.status import NtStatus
-from repro.nt.flight.profiler import BIN_FASTIO, BIN_IRP_DISPATCH
 from repro.nt.fs.volume import Volume
 from repro.nt.io.driver import DeviceObject
 from repro.nt.io.fastio import FastIoOp, FastIoResult
@@ -150,30 +149,22 @@ class IoManager:
     def _dispatch(self, irp: Irp, top: DeviceObject,
                   background: bool = False) -> NtStatus:
         machine = self.machine
-        profiler = machine.profiler
-        prof_on = profiler.enabled
-        if prof_on:
-            profiler.enter(BIN_IRP_DISPATCH)
-        try:
-            clock = machine.clock
-            spans = machine.spans
-            verifier = machine.verifier
-            span = spans.begin_irp(irp, background) if spans.enabled else None
-            if verifier.enabled:
-                verifier.before_dispatch(irp)
-            irp.t_start = clock.now
-            clock.advance(self._irp_dispatch_ticks)
-            status = top.driver.dispatch(irp, top)
-            irp.t_complete = clock.now
-            if verifier.enabled:
-                verifier.after_dispatch(irp, status)
-            if span is not None:
-                spans.end(span, status)
-            self._count_irp(irp)
-            return status
-        finally:
-            if prof_on:
-                profiler.exit()
+        clock = machine.clock
+        spans = machine.spans
+        verifier = machine.verifier
+        span = spans.begin_irp(irp, background) if spans.enabled else None
+        if verifier.enabled:
+            verifier.before_dispatch(irp)
+        irp.t_start = clock.now
+        clock.advance(self._irp_dispatch_ticks)
+        status = top.driver.dispatch(irp, top)
+        irp.t_complete = clock.now
+        if verifier.enabled:
+            verifier.after_dispatch(irp, status)
+        if span is not None:
+            spans.end(span, status)
+        self._count_irp(irp)
+        return status
 
     # ------------------------------------------------------------------ #
     # FastIO dispatch.
@@ -184,34 +175,26 @@ class IoManager:
             raise ValueError("FastIO call has no file object")
         top = self.stack_for(irp_like.file_object.volume)
         machine = self.machine
-        profiler = machine.profiler
-        prof_on = profiler.enabled
-        if prof_on:
-            profiler.enter(BIN_FASTIO)
-        try:
-            clock = machine.clock
-            spans = machine.spans
-            span = spans.begin_fastio(op, irp_like) if spans.enabled else None
-            irp_like.t_start = clock.now
-            clock.advance(self._fastio_dispatch_ticks)
-            result = top.driver.fastio(op, irp_like, top)
-            irp_like.t_complete = clock.now
-            if machine.verifier.enabled:
-                machine.verifier.after_fastio(op, irp_like, result)
-            if result.handled:
-                irp_like.status = result.status
-                irp_like.returned = result.returned
-                self._count_fastio(op, irp_like)
-            else:
-                if span is not None:
-                    spans.mark_declined(span)
-                self._fastio_declined.add(1)
+        clock = machine.clock
+        spans = machine.spans
+        span = spans.begin_fastio(op, irp_like) if spans.enabled else None
+        irp_like.t_start = clock.now
+        clock.advance(self._fastio_dispatch_ticks)
+        result = top.driver.fastio(op, irp_like, top)
+        irp_like.t_complete = clock.now
+        if machine.verifier.enabled:
+            machine.verifier.after_fastio(op, irp_like, result)
+        if result.handled:
+            irp_like.status = result.status
+            irp_like.returned = result.returned
+            self._count_fastio(op, irp_like)
+        else:
             if span is not None:
-                spans.end(span, result.status)
-            return result
-        finally:
-            if prof_on:
-                profiler.exit()
+                spans.mark_declined(span)
+            self._fastio_declined.add(1)
+        if span is not None:
+            spans.end(span, result.status)
+        return result
 
     # ------------------------------------------------------------------ #
     # Data-path services (NtReadFile / NtWriteFile policy).

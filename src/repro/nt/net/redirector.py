@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from repro.common.clock import ticks_from_micros
 from repro.common.flags import FileObjectFlags
 from repro.common.status import NtStatus
-from repro.nt.flight.profiler import BIN_REDIRECTOR
 from repro.nt.fs.driver import FileSystemDriver
 from repro.nt.io.driver import DeviceObject
 from repro.nt.io.fastio import FastIoOp, FastIoResult
@@ -83,30 +82,21 @@ class RedirectorDriver(FileSystemDriver):
 
     def dispatch(self, irp: Irp, device: DeviceObject) -> NtStatus:
         machine = self.io.machine
-        profiler = self._profiler
-        prof_on = profiler.enabled
-        if prof_on:
-            profiler.enter(BIN_REDIRECTOR)
-        try:
-            if irp.major in _WIRE_MAJORS:
-                self._wire_advance(machine, 0)
-                self._perf_wire_requests.add(1)
-            elif irp.major in (IrpMajor.READ, IrpMajor.WRITE):
-                fo = irp.file_object
-                moves_data = irp.is_paging_io or (
-                    fo is not None
-                    and fo.has_flag(
-                        FileObjectFlags.NO_INTERMEDIATE_BUFFERING))
-                if moves_data:
-                    self._wire_advance(machine, irp.length)
-                    self._perf_wire_transfers.add(1)
-                    self._perf_wire_bytes.add(irp.length)
-                else:
-                    self._perf_cache_absorbed.add(1)
-            return super().dispatch(irp, device)
-        finally:
-            if prof_on:
-                profiler.exit()
+        if irp.major in _WIRE_MAJORS:
+            self._wire_advance(machine, 0)
+            self._perf_wire_requests.add(1)
+        elif irp.major in (IrpMajor.READ, IrpMajor.WRITE):
+            fo = irp.file_object
+            moves_data = irp.is_paging_io or (
+                fo is not None
+                and fo.has_flag(FileObjectFlags.NO_INTERMEDIATE_BUFFERING))
+            if moves_data:
+                self._wire_advance(machine, irp.length)
+                self._perf_wire_transfers.add(1)
+                self._perf_wire_bytes.add(irp.length)
+            else:
+                self._perf_cache_absorbed.add(1)
+        return super().dispatch(irp, device)
 
     def _wire_advance(self, machine, payload_bytes: int) -> None:
         """Charge one server round trip, spanned so the wire time of a

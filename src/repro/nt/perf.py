@@ -47,6 +47,10 @@ class PerfSchemaError(ValueError):
     """Snapshots disagree on a series' schema (kind or bucket layout)."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Counter:
     """A cheap monotonic event counter."""
 
@@ -156,6 +160,52 @@ class LatencyHistogram:
             "bucket_counts": list(self.bucket_counts),
         }
 
+    @classmethod
+    def from_dict(cls, name: str, doc) -> "LatencyHistogram":
+        """Decode :meth:`to_dict`, checking it.
+
+        Raises :class:`ValueError` naming the histogram unless ``count``,
+        ``sum_ticks``, ``max_ticks`` and all ``N_BUCKETS + 1`` buckets are
+        non-negative integers and the buckets sum to ``count``.  A bucket
+        list of another length is a :class:`PerfSchemaError`.
+        """
+        doc = doc if isinstance(doc, dict) else {}
+        fields = [doc.get(key) for key in ("count", "sum_ticks",
+                                           "max_ticks")]
+        buckets = doc.get("bucket_counts")
+        if isinstance(buckets, list) and len(buckets) != N_BUCKETS + 1:
+            raise PerfSchemaError(
+                f"malformed histogram {name!r}: {len(buckets)} buckets, "
+                f"not {N_BUCKETS + 1}")
+        if not (isinstance(buckets, list)
+                and all(_is_int(n) and n >= 0 for n in fields + buckets)
+                and sum(buckets) == fields[0]):
+            raise ValueError(
+                f"malformed histogram {name!r}: count, sum_ticks, "
+                f"max_ticks and the {N_BUCKETS + 1} buckets must be "
+                f"non-negative integers, the buckets summing to count")
+        hist = cls(name)
+        hist.count, hist.sum_ticks, hist.max_ticks = fields
+        hist.bucket_counts = list(buckets)
+        return hist
+
+    def merge(self, other: "LatencyHistogram") -> None:
+        """Add ``other``'s samples to this histogram.
+
+        Raises :class:`PerfSchemaError`, before changing anything, unless
+        both histograms share one bucket layout.
+        """
+        if len(other.bucket_counts) != len(self.bucket_counts):
+            raise PerfSchemaError(
+                f"cannot merge histogram {other.name!r} "
+                f"({len(other.bucket_counts)} buckets) into {self.name!r} "
+                f"({len(self.bucket_counts)} buckets)")
+        self.count += other.count
+        self.sum_ticks += other.sum_ticks
+        self.max_ticks = max(self.max_ticks, other.max_ticks)
+        self.bucket_counts = [mine + theirs for mine, theirs in
+                              zip(self.bucket_counts, other.bucket_counts)]
+
 
 class PerfRegistry:
     """Per-machine counter and histogram registry.
@@ -262,12 +312,14 @@ def merge_snapshots(snapshots: Iterable[Mapping]) -> dict:
 
     The snapshots must agree on what each series *is*: a name appearing
     as a counter in one snapshot and a gauge or histogram in another —
-    or histograms with different bucket layouts — raises
+    or a histogram with another bucket layout — raises
     :class:`PerfSchemaError` naming the series, rather than silently
-    unioning incompatible data into one table.
+    unioning incompatible data into one table.  Histograms are decoded
+    with :meth:`LatencyHistogram.from_dict`, so a malformed one raises
+    :class:`ValueError` naming it.
     """
     counters: dict[str, int] = {}
-    histograms: dict[str, dict] = {}
+    histograms: dict[str, LatencyHistogram] = {}
     gauges: dict[str, int] = {}
     kinds: dict[str, str] = {}
     for snap in snapshots:
@@ -282,36 +334,17 @@ def merge_snapshots(snapshots: Iterable[Mapping]) -> dict:
             counters[name] = counters.get(name, 0) + value
         for name, value in snap.get("gauges", {}).items():
             gauges[name] = gauges.get(name, 0) + value
-        for name, h in snap.get("histograms", {}).items():
+        for name, doc in snap.get("histograms", {}).items():
             agg = histograms.get(name)
             if agg is None:
-                agg = histograms[name] = {
-                    "count": 0, "sum_ticks": 0, "max_ticks": 0,
-                    "bucket_counts": [0] * len(h["bucket_counts"])}
-            if len(h["bucket_counts"]) != len(agg["bucket_counts"]):
-                raise PerfSchemaError(
-                    f"cannot merge perf snapshots: histogram {name!r} has "
-                    f"{len(h['bucket_counts'])} buckets in one snapshot "
-                    f"and {len(agg['bucket_counts'])} in another")
-            agg["count"] += h["count"]
-            agg["sum_ticks"] += h["sum_ticks"]
-            agg["max_ticks"] = max(agg["max_ticks"], h["max_ticks"])
-            for i, n in enumerate(h["bucket_counts"]):
-                agg["bucket_counts"][i] += n
+                agg = histograms[name] = LatencyHistogram(name)
+            agg.merge(LatencyHistogram.from_dict(name, doc))
     merged = {"counters": dict(sorted(counters.items())),
-              "histograms": dict(sorted(histograms.items()))}
+              "histograms": {name: histograms[name].to_dict()
+                             for name in sorted(histograms)}}
     if gauges:
         merged["gauges"] = dict(sorted(gauges.items()))
     return merged
-
-
-def _hist_from_dict(name: str, d: Mapping) -> LatencyHistogram:
-    hist = LatencyHistogram(name)
-    hist.count = d["count"]
-    hist.sum_ticks = d["sum_ticks"]
-    hist.max_ticks = d["max_ticks"]
-    hist.bucket_counts = list(d["bucket_counts"])
-    return hist
 
 
 def format_perf_table(snapshot: Mapping, title: str = "Performance monitor"
@@ -338,7 +371,7 @@ def format_perf_table(snapshot: Mapping, title: str = "Performance monitor"
                      f"{'Mean':>9} {'p50':>9} {'p90':>9} {'p99':>9} "
                      f"{'Max':>10}")
         for name in sorted(histograms):
-            hist = _hist_from_dict(name, histograms[name])
+            hist = LatencyHistogram.from_dict(name, histograms[name])
             if not hist.count:
                 # No samples: there is no latency to summarise, and a
                 # rendered NaN (or a fabricated p50=0) would misread as
@@ -372,10 +405,6 @@ def perf_json_bytes(perf_by_machine: Mapping[str, Mapping],
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_snapshot(where: str, snap) -> None:
     """Raise :class:`ValueError` unless ``snap`` is a registry snapshot."""
     sections = ([snap.get(key, {}) for key in ("counters", "gauges",
@@ -389,17 +418,10 @@ def _check_snapshot(where: str, snap) -> None:
         if not _is_int(value):
             raise ValueError(f"{where}: {name!r} is not an integer")
     for name, hist in histograms.items():
-        hist = hist if isinstance(hist, dict) else {}
-        fields = [hist.get(key) for key in ("count", "sum_ticks",
-                                            "max_ticks")]
-        buckets = hist.get("bucket_counts")
-        if not (isinstance(buckets, list) and len(buckets) == N_BUCKETS + 1
-                and all(_is_int(n) and n >= 0 for n in fields + buckets)
-                and sum(buckets) == fields[0]):
-            raise ValueError(
-                f"{where}: histogram {name!r} needs non-negative integer "
-                f"count, sum_ticks, max_ticks and {N_BUCKETS + 1} buckets "
-                f"summing to count")
+        try:
+            LatencyHistogram.from_dict(name, hist)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def load_perf_json(path) -> dict:

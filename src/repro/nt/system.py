@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.common.clock import SimClock, ticks_from_micros, ticks_from_seconds
 from repro.nt.cache.cachemanager import CacheManager
-from repro.nt.flight.profiler import HotPathProfiler
 from repro.nt.flight.recorder import FlightRecorder
 from repro.nt.cache.lazywriter import LazyWriter
 from repro.nt.fs.disk import DiskModel, IDE_DISK
@@ -84,10 +83,6 @@ class MachineConfig:
     # 0.0 disables it; the recorder only reads counters from the timer
     # wheel, so archives stay byte-identical with it on or off.
     metrics_interval_seconds: float = 0.0
-    # Host-side hot-path self-profiler (repro.nt.flight.profiler).  Off
-    # by default — one attribute check per profiled site — and its
-    # wall-clock bins never enter archives or perf.json.
-    profile_enabled: bool = False
     # Storage-device layer (repro.nt.storage): name of a personality from
     # PERSONALITIES to mount below every local volume's file-system
     # device.  None (the default) keeps the legacy inline
@@ -142,9 +137,6 @@ class Machine:
         self.perf = PerfRegistry(config.name)
         self._perf_change_notifications = self.perf.counter(
             "fs.change_notifications")
-        # The profiler must exist before the I/O manager and the driver
-        # stack: hook sites cache a reference at construction.
-        self.profiler = HotPathProfiler(enabled=config.profile_enabled)
         self.collector = TraceCollector(config.name)
         # The span tracer must exist before the I/O manager: the mount
         # IRPs issued during construction already dispatch through it.

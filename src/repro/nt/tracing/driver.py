@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.common.status import NtStatus
-from repro.nt.flight.profiler import BIN_FS_DRIVER, BIN_TRACE_FILTER
 from repro.nt.io.driver import DeviceObject, Driver
 from repro.nt.io.fastio import FastIoOp, FastIoResult
 from repro.nt.io.irp import Irp, IrpMajor, IrpMinor
@@ -93,75 +92,46 @@ class TraceFilterDriver(Driver):
     # ------------------------------------------------------------------ #
 
     def dispatch(self, irp: Irp, device: DeviceObject) -> NtStatus:
-        profiler = self._profiler
-        prof_on = profiler.enabled
-        if prof_on:
-            profiler.enter(BIN_TRACE_FILTER)
-        try:
-            if not self.enabled:
-                self._perf_dropped.add(1)
-                return self.forward_irp(irp, device)
-            if (irp.major == IrpMajor.CREATE
-                    or irp.minor == IrpMinor.MOUNT_VOLUME):
-                self._ensure_name_record(irp)
-            handlers = self._fs_irp_handlers
-            if handlers is None:
-                status = self.forward_irp(irp, device)
+        if not self.enabled:
+            self._perf_dropped.add(1)
+            return self.forward_irp(irp, device)
+        if irp.major == IrpMajor.CREATE or irp.minor == IrpMinor.MOUNT_VOLUME:
+            self._ensure_name_record(irp)
+        handlers = self._fs_irp_handlers
+        if handlers is None:
+            status = self.forward_irp(irp, device)
+        else:
+            handler = handlers.get(irp.major)
+            if handler is None:
+                status = irp.complete(NtStatus.INVALID_DEVICE_REQUEST)
             else:
-                handler = handlers.get(irp.major)
-                if handler is None:
-                    status = irp.complete(NtStatus.INVALID_DEVICE_REQUEST)
-                elif prof_on:
-                    profiler.enter(BIN_FS_DRIVER)
-                    try:
-                        status = handler(irp, self._fs_device)
-                    finally:
-                        profiler.exit()
-                else:
-                    status = handler(irp, self._fs_device)
-            self._stage_record(int(kind_for_irp(irp)), irp)
-            self._perf_records.add(1)
-            return status
-        finally:
-            if prof_on:
-                profiler.exit()
+                status = handler(irp, self._fs_device)
+        self._stage_record(int(kind_for_irp(irp)), irp)
+        self._perf_records.add(1)
+        return status
 
     def fastio(self, op: FastIoOp, irp_like: Irp,
                device: DeviceObject) -> FastIoResult:
-        profiler = self._profiler
-        prof_on = profiler.enabled
-        if prof_on:
-            profiler.enter(BIN_TRACE_FILTER)
-        try:
-            handlers = self._fs_fastio_handlers
-            if handlers is None:
-                result = self.forward_fastio(op, irp_like, device)
+        handlers = self._fs_fastio_handlers
+        if handlers is None:
+            result = self.forward_fastio(op, irp_like, device)
+        else:
+            handler = handlers.get(op)
+            if handler is None:
+                result = FastIoResult.declined()
             else:
-                handler = handlers.get(op)
-                if handler is None:
-                    result = FastIoResult.declined()
-                elif prof_on:
-                    profiler.enter(BIN_FS_DRIVER)
-                    try:
-                        result = handler(irp_like, self._fs_device)
-                    finally:
-                        profiler.exit()
-                else:
-                    result = handler(irp_like, self._fs_device)
-            if self.enabled and result.handled:
-                # Completed FastIO calls carry their outcome in the result
-                # structure, not the parameter block; copy it so the record
-                # logs the bytes actually transferred.
-                irp_like.status = result.status
-                irp_like.returned = result.returned
-                self._stage_record(int(kind_for_fastio(op)), irp_like)
-                self._perf_records.add(1)
-            elif not self.enabled and result.handled:
-                self._perf_dropped.add(1)
-            return result
-        finally:
-            if prof_on:
-                profiler.exit()
+                result = handler(irp_like, self._fs_device)
+        if self.enabled and result.handled:
+            # Completed FastIO calls carry their outcome in the result
+            # structure, not the parameter block; copy it so the record
+            # logs the bytes actually transferred.
+            irp_like.status = result.status
+            irp_like.returned = result.returned
+            self._stage_record(int(kind_for_fastio(op)), irp_like)
+            self._perf_records.add(1)
+        elif not self.enabled and result.handled:
+            self._perf_dropped.add(1)
+        return result
 
     # ------------------------------------------------------------------ #
 

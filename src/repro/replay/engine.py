@@ -70,8 +70,6 @@ class ReplayConfig:
     # advances the clock only by service time, so samples bunch up at the
     # drain; open-loop replay preserves pacing and yields a real series.
     metrics_interval_seconds: float = 0.0
-    # Self-profiling of the replay dispatch hot path (off by default).
-    profile_enabled: bool = False
     # Storage personality name (repro.nt.storage.devices.PERSONALITIES)
     # mounted below every rebuilt local volume.  None keeps the legacy
     # inline media pricing, byte-identical to pre-storage replays.
@@ -107,7 +105,6 @@ class ReplayedMachine:
     outcome: ReplayOutcome
     perf: dict = field(default_factory=dict)
     metrics: Optional[MetricsSection] = None
-    profile: dict = field(default_factory=dict)
 
 
 def _category_of(machine_name: str) -> str:
@@ -189,7 +186,6 @@ def build_replay_machine(source: TraceCollector, index: int,
         fastio_decline_probability=0.0,
         lazy_writer_enabled=False,
         metrics_interval_seconds=config.metrics_interval_seconds,
-        profile_enabled=config.profile_enabled,
         storage=config.storage,
         storage_queue=config.storage_queue,
         cache_bytes=cache_bytes,
@@ -248,6 +244,4 @@ def replay_collector(source: TraceCollector, index: int = 0,
         collector=machine.collector, outcome=outcome,
         perf=perf.snapshot(),
         metrics=(machine.flight.section()
-                 if machine.flight is not None else None),
-        profile=(machine.profiler.snapshot()
-                 if machine.profiler.enabled else {}))
+                 if machine.flight is not None else None))

@@ -70,11 +70,6 @@ class ReplayResult:
         return [m.metrics for m in self.machines if m.metrics is not None]
 
     @property
-    def profiles(self) -> dict[str, dict]:
-        """Per-machine hot-path profiler snapshots (empty when disabled)."""
-        return {m.name: m.profile for m in self.machines if m.profile}
-
-    @property
     def total_replayed(self) -> int:
         return sum(m.outcome.replayed_records for m in self.machines)
 
@@ -108,7 +103,6 @@ def _replay_task(task: ReplayTask, events_queue=None) -> dict:
         "outcome": replayed.outcome.to_dict(),
         "perf": replayed.perf,
         "metrics": replayed.metrics,
-        "profile": replayed.profile,
     }
 
 
@@ -120,8 +114,7 @@ def _machine_from_payload(payload: dict) -> ReplayedMachine:
         collector=unpack_collector(payload["collector"]),
         outcome=ReplayOutcome.from_dict(payload["outcome"]),
         perf=payload["perf"],
-        metrics=payload["metrics"],
-        profile=payload["profile"])
+        metrics=payload["metrics"])
 
 
 def replay_archive(directory: Path | str,

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.attribution import critical_path_table
 from repro.analysis.fidelity import fidelity_report
-from repro.nt.perf import _hist_from_dict, merge_snapshots
+from repro.nt.perf import LatencyHistogram, merge_snapshots
 from repro.nt.storage.devices import PERSONALITIES
 from repro.nt.tracing.store import iter_trace_records, study_paths
 from repro.replay.engine import ReplayConfig
@@ -116,7 +116,7 @@ def grid_cells(dims: dict) -> list[GridCell]:
 
 
 def _band(hist_dict: dict, name: str) -> dict:
-    hist = _hist_from_dict(name, hist_dict)
+    hist = LatencyHistogram.from_dict(name, hist_dict)
     if not hist.count:
         # Keep empty series JSON-clean (mean/quantile are NaN on zero
         # samples, which would poison the byte-compared report).

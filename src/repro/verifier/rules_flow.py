@@ -18,7 +18,7 @@ function boundaries:
   function that either contains the source call or calls a tainted
   helper outside the scope.  Deeper sim-scope callers are quiet — the
   root finding (or its justified baseline entry, the sanctioned-sink
-  policy) covers them, so sanctioning ``HotPathProfiler`` does not
+  policy) covers them, so sanctioning ``CampaignConsole`` does not
   blind the verifier to a new clock read elsewhere.
 * **F602** — identity-derived values (``id()`` results, instances
   hashing by default ``object.__hash__``) flowing into a container that

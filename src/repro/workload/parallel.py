@@ -128,7 +128,6 @@ def _simulate_task(task: MachineTask, events_queue=None) -> dict:
         "collector": pack_collector(artifact.collector),
         "perf": artifact.perf,
         "metrics": artifact.metrics,
-        "profile": artifact.profile,
     }
     if task.fault == "unpicklable-result":
         payload["poison"] = lambda: None
@@ -206,8 +205,7 @@ def run_tasks(tasks: list[MachineTask], n_workers: int,
         category=payload["category"],
         collector=unpack_collector(payload["collector"]),
         perf=payload["perf"],
-        metrics=payload["metrics"],
-        profile=payload["profile"]) for payload in payloads]
+        metrics=payload["metrics"]) for payload in payloads]
 
 
 def run_study_parallel(config: StudyConfig,

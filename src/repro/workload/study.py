@@ -90,10 +90,6 @@ class StudyConfig:
     # metrics.ntmetrics sidecar.  0.0 disables; archives stay
     # byte-identical with it on or off.
     metrics_interval_seconds: float = 0.0
-    # Host-side hot-path self-profiler (repro.nt.flight.profiler / CLI
-    # --profile).  Wall-clock bins ride telemetry only — they never
-    # enter archives or perf.json.
-    profile_enabled: bool = False
 
 
 @dataclass
@@ -108,9 +104,6 @@ class StudyResult:
     # Per-machine flight-recorder sections (repro.nt.flight), in machine
     # order; empty unless the study ran with metrics_interval_seconds.
     metrics: list[MetricsSection] = field(default_factory=list)
-    # Per-machine hot-path profiler bins (host wall clock — telemetry
-    # only, never part of archives or perf.json).
-    profiles: dict[str, dict] = field(default_factory=dict)
 
     @property
     def total_records(self) -> int:
@@ -182,7 +175,9 @@ class StudyTelemetry:
             self.emit("phase-done", phase=name, wall_seconds=elapsed)
 
     def bench_payload(self) -> dict:
-        """Wall-clock phase timings, for the CI ``BENCH_perf.json``."""
+        """Wall-clock phase timings: the ``phases`` block of the
+        ``nt-throughput-2`` baseline ``repro perf --bench-json`` writes
+        (committed as ``BENCH_throughput.json``)."""
         return {"phases": {name: round(seconds, 6)
                            for name, seconds in
                            sorted(self.phase_seconds.items())}}
@@ -214,12 +209,12 @@ def _apportion(weights: Sequence[float], total: int) -> list[int]:
     return [int(c) for c in counts]
 
 
-def _assign_categories(config: StudyConfig, rng=None) -> list[str]:
+def _assign_categories(config: StudyConfig) -> list[str]:
     """Machine categories for a study, in stable category-mix order.
 
-    Purely a function of the config (``rng`` is accepted for backward
-    compatibility and unused), which is what lets the serial and parallel
-    engines agree on machine identities without sharing any state.
+    Purely a function of the config, which is what lets the serial and
+    parallel engines agree on machine identities without sharing any
+    state.
     """
     assigned: list[str] = []
     counts = _apportion([w for _n, w in config.category_mix],
@@ -379,8 +374,6 @@ class MachineArtifact:
     perf: dict
     # Flight-recorder section (None unless the study enabled --metrics).
     metrics: Optional[MetricsSection] = None
-    # Hot-path profiler bins (empty unless the study enabled --profile).
-    profile: dict = field(default_factory=dict)
 
 
 def simulate_machine(config: StudyConfig, index: int, category_name: str,
@@ -402,8 +395,7 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
                           spans_enabled=config.spans_enabled,
                           verifier_enabled=config.verifier_enabled,
                           metrics_interval_seconds=(
-                              config.metrics_interval_seconds),
-                          profile_enabled=config.profile_enabled)
+                              config.metrics_interval_seconds))
     machine = built.machine
     if config.with_network_shares:
         share = Volume(label=f"srv-{built.username}",
@@ -444,9 +436,7 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
         collector=machine.collector,
         perf=machine.perf.snapshot(),
         metrics=(machine.flight.section()
-                 if machine.flight is not None else None),
-        profile=(machine.profiler.snapshot()
-                 if machine.profiler.enabled else {}))
+                 if machine.flight is not None else None))
 
 
 def merge_artifacts(artifacts: Sequence[MachineArtifact],
@@ -469,8 +459,7 @@ def merge_artifacts(artifacts: Sequence[MachineArtifact],
         machine_categories={a.name: a.category for a in ordered},
         duration_ticks=duration_ticks,
         perf={a.name: a.perf for a in ordered},
-        metrics=[a.metrics for a in ordered if a.metrics is not None],
-        profiles={a.name: a.profile for a in ordered if a.profile})
+        metrics=[a.metrics for a in ordered if a.metrics is not None])
 
 
 def run_study(config: StudyConfig,

@@ -105,8 +105,7 @@ def build_machine(name: str, category_name: str, seed: int,
                   username: str | None = None,
                   spans_enabled: bool = False,
                   verifier_enabled: bool = False,
-                  metrics_interval_seconds: float = 0.0,
-                  profile_enabled: bool = False) -> BuiltMachine:
+                  metrics_interval_seconds: float = 0.0) -> BuiltMachine:
     """Construct one traced machine of the given category with content."""
     category = CATEGORY_PROFILES[category_name]
     seeder = np.random.default_rng(seed)
@@ -125,7 +124,6 @@ def build_machine(name: str, category_name: str, seed: int,
         spans_enabled=spans_enabled,
         verifier_enabled=verifier_enabled,
         metrics_interval_seconds=metrics_interval_seconds,
-        profile_enabled=profile_enabled,
     )
     machine = Machine(config)
     volume = Volume(

@@ -103,9 +103,3 @@ class TestAssignCategories:
         assigned = _assign_categories(StudyConfig(n_machines=10))
         assert "administrative" in assigned
         assert "scientific" in assigned
-
-    def test_legacy_rng_argument_is_accepted_and_ignored(self):
-        cfg = StudyConfig(n_machines=7)
-        with_rng = _assign_categories(cfg, np.random.default_rng(123))
-        without = _assign_categories(cfg)
-        assert with_rng == without

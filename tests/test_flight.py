@@ -1,11 +1,10 @@
-"""The flight recorder: .ntmetrics format, sampling, profiling, export.
+"""The flight recorder: .ntmetrics format, sampling, export.
 
 Covers the tentpole end to end: the log format's encode/decode
 round-trip and its malformed-input errors (every one a ``ValueError``
 naming the file), the recorder's delta sampling against the perf
-registry, the hot-path profiler's exclusive-time accounting, the
-serial-vs-parallel byte-identity of the metrics sidecar, the
-metrics-on/off byte-identity of the trace archives, the figure-8
+registry, the serial-vs-parallel byte-identity of the metrics sidecar,
+the metrics-on/off byte-identity of the trace archives, the figure-8
 time-series analysis with archive reconciliation, the OpenMetrics
 exposition (checked by the format validator), and the CLI surfacing.
 """
@@ -35,14 +34,6 @@ from repro.nt.flight.log import (
     iter_samples,
     read_metrics_header,
     write_metrics_log,
-)
-from repro.nt.flight.profiler import (
-    BIN_FS_DRIVER,
-    BIN_IRP_DISPATCH,
-    BIN_TRACE_FILTER,
-    HotPathProfiler,
-    format_profile_table,
-    merge_profiles,
 )
 from repro.nt.flight.recorder import FlightRecorder
 from repro.nt.system import Machine, MachineConfig
@@ -251,53 +242,6 @@ class TestRecorder:
         assert machine.flight.section() == before
 
 
-class TestProfiler:
-    def test_disabled_by_default(self):
-        machine = Machine(MachineConfig(name="m", seed=3))
-        assert not machine.profiler.enabled
-        assert machine.profiler.snapshot() == {}
-
-    def test_exclusive_time_excludes_children(self):
-        prof = HotPathProfiler(enabled=True)
-        prof.enter(BIN_IRP_DISPATCH)
-        prof.enter(BIN_FS_DRIVER)
-        prof.enter(BIN_TRACE_FILTER)
-        prof.exit()
-        prof.exit()
-        prof.exit()
-        snap = prof.snapshot()
-        assert {b for b in snap} == {BIN_IRP_DISPATCH, BIN_FS_DRIVER,
-                                     BIN_TRACE_FILTER}
-        for stats in snap.values():
-            assert stats["calls"] == 1
-            assert stats["exclusive_seconds"] >= 0.0
-
-    def test_machine_profile_bins_populate(self):
-        config = MachineConfig(name="m", seed=3, profile_enabled=True)
-        machine = Machine(config)
-        from repro.nt.fs.volume import Volume
-        machine.mount("C", Volume("C", Volume.NTFS,
-                                  capacity_bytes=2 * 1024**3))
-        _drive_small_workload(machine)
-        snap = machine.profiler.snapshot()
-        assert snap[BIN_IRP_DISPATCH]["calls"] > 0
-        assert snap[BIN_FS_DRIVER]["calls"] > 0
-        assert snap[BIN_TRACE_FILTER]["calls"] > 0
-
-    def test_merge_and_format(self):
-        a = {"io.irp_dispatch": {"calls": 2, "exclusive_seconds": 0.5}}
-        b = {"io.irp_dispatch": {"calls": 3, "exclusive_seconds": 0.25},
-             "fs.driver": {"calls": 1, "exclusive_seconds": 0.125}}
-        merged = merge_profiles([a, b])
-        assert merged["io.irp_dispatch"] == {"calls": 5,
-                                             "exclusive_seconds": 0.75}
-        text = format_profile_table(merged, total_records=1000,
-                                    wall_seconds=2.0)
-        assert "io.irp_dispatch" in text
-        assert "records/sec" in text
-        assert "500" in text                # 1000 records / 2 s
-
-
 def _metrics_config(**overrides) -> StudyConfig:
     base = dict(n_machines=2, duration_seconds=10.0, seed=23,
                 content_scale=0.05, with_network_shares=False,
@@ -321,14 +265,6 @@ class TestStudyIntegration:
         for c_on, c_off in zip(with_metrics.collectors,
                                without.collectors):
             assert pack_collector(c_on) == pack_collector(c_off)
-
-    def test_profile_does_not_perturb_archives(self):
-        profiled = run_study(_metrics_config(metrics_interval_seconds=0.0,
-                                             profile_enabled=True))
-        plain = run_study(_metrics_config(metrics_interval_seconds=0.0))
-        assert profiled.profiles
-        for c_a, c_b in zip(profiled.collectors, plain.collectors):
-            assert pack_collector(c_a) == pack_collector(c_b)
 
 
 class TestTimeseries:
@@ -479,28 +415,26 @@ class TestCli:
 
     def test_profile_command_writes_throughput_baseline(self, tmp_path,
                                                         capsys):
+        # `repro perf --bench-json` is the one wall-clock baseline writer.
         bench = tmp_path / "BENCH_throughput.json"
-        rc = cli_main(["profile", "--machines", "1", "--seconds", "10",
+        rc = cli_main(["perf", "--machines", "1", "--seconds", "10",
                        "--seed", "23", "--scale", "0.05",
-                       "--json", str(bench)])
+                       "--bench-json", str(bench)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "records/sec" in out
+        assert "wrote throughput baseline" in out
         doc = json.loads(bench.read_text())
-        assert doc["format"] == "nt-throughput-1"
+        assert doc["format"] == "nt-throughput-2"
         assert doc["records_per_second"] > 0
-        assert doc["bins"]["trace.filter"]["calls"] > 0
+        assert doc["phases"]["simulate"] > 0
+        assert doc["deterministic"]["records"] == doc["records"] > 0
 
-    def test_replay_metrics_and_profile(self, metrics_archive, tmp_path,
-                                        capsys):
+    def test_replay_metrics_and_profile(self, metrics_archive, tmp_path):
         out = tmp_path / "replayed"
         rc = cli_main(["replay", "--traces", str(metrics_archive),
-                       "--mode", "open", "--out", str(out),
-                       "--metrics", "--profile"])
-        output = capsys.readouterr().out
+                       "--mode", "open", "--out", str(out), "--metrics"])
         assert rc == 0
         assert (out / METRICS_FILENAME).exists()
-        assert "Replay hot-path profile" in output
         report = analyze_metrics_log(out / METRICS_FILENAME, seed=1)
         assert report.total > 0
 

@@ -1,12 +1,13 @@
 """The records/sec regression gate.
 
 ``BENCH_throughput.json`` (committed at the repo root, refreshed by
-``repro profile --json``) is the headline benchmark of the simulator's
-hot path.  The gate splits the baseline the way the payload does:
+``repro perf --bench-json``) is the headline benchmark of the
+simulator's hot path.  The gate splits the baseline the way the payload
+does:
 
-* The ``deterministic`` block — record counts and per-bin call counts —
-  must match a fresh run *exactly*.  A mismatch means the simulator
-  changed, not the host.
+* The ``deterministic`` block — the study parameters and the record
+  count — must match a fresh run *exactly*.  A mismatch means the
+  simulator changed, not the host.
 * ``records_per_second`` is compared with a tolerance band after
   rescaling by the host-calibration workload, so a slower CI runner
   shifts the expectation instead of tripping the gate.  A drop of more
@@ -26,8 +27,7 @@ from time import perf_counter
 import pytest
 
 from repro import StudyConfig, run_study
-from repro.cli import main
-from repro.nt.flight.profiler import host_calibration_seconds, merge_profiles
+from repro.cli import host_calibration_seconds, main
 
 BASELINE_PATH = Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
 
@@ -46,8 +46,7 @@ def fresh(baseline):
     det = baseline["deterministic"]
     config = StudyConfig(
         n_machines=det["machines"], duration_seconds=det["seconds"],
-        seed=det["seed"], content_scale=det["scale"],
-        profile_enabled=True)
+        seed=det["seed"], content_scale=det["scale"])
     begin = perf_counter()
     result = run_study(config)
     wall = perf_counter() - begin
@@ -57,11 +56,7 @@ def fresh(baseline):
 @pytest.mark.slow
 def test_deterministic_block_matches_committed_baseline(baseline, fresh):
     result, _wall = fresh
-    det = baseline["deterministic"]
-    assert result.total_records == det["records"]
-    merged = merge_profiles(result.profiles.values())
-    assert {name: data["calls"] for name, data in merged.items()} \
-        == det["bin_calls"]
+    assert result.total_records == baseline["deterministic"]["records"]
 
 
 @pytest.mark.slow
@@ -78,7 +73,7 @@ def test_records_per_second_within_tolerance_band(baseline, fresh):
         f"hot-path throughput regressed: measured {measured:,.0f} rec/s "
         f"against a host-adjusted expectation of {expected:,.0f} "
         f"(gate at {floor:,.0f}); if this is an intentional change, "
-        f"refresh BENCH_throughput.json with `repro profile --json`")
+        f"refresh BENCH_throughput.json with `repro perf --bench-json`")
 
 
 def test_profile_json_deterministic_block_is_reproducible(tmp_path):
@@ -89,13 +84,13 @@ def test_profile_json_deterministic_block_is_reproducible(tmp_path):
     """
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out_a, out_b):
-        assert main(["profile", "--machines", "1", "--seconds", "5",
-                     "--json", str(out)]) == 0
+        assert main(["perf", "--machines", "1", "--seconds", "5",
+                     "--bench-json", str(out)]) == 0
     doc_a = json.loads(out_a.read_text())
     doc_b = json.loads(out_b.read_text())
     assert doc_a["deterministic"] == doc_b["deterministic"]
-    for nondeterministic in ("wall_seconds", "records_per_second",
-                             "calibration_seconds", "bins"):
+    for nondeterministic in ("phases", "records_per_second",
+                             "calibration_seconds"):
         assert nondeterministic in doc_a
         assert nondeterministic not in doc_a["deterministic"]
     # The stable counts are mirrored inside the block.
@@ -104,10 +99,10 @@ def test_profile_json_deterministic_block_is_reproducible(tmp_path):
 
 def test_committed_baseline_is_current_format(baseline):
     """The committed file carries everything the slow gate needs."""
-    assert baseline["format"] == "nt-throughput-1"
+    assert baseline["format"] == "nt-throughput-2"
     det = baseline["deterministic"]
-    for key in ("machines", "seconds", "seed", "scale", "records",
-                "bin_calls"):
+    for key in ("machines", "seconds", "seed", "scale", "records"):
         assert key in det, key
     assert baseline["calibration_seconds"] > 0
-    assert det["bin_calls"]["trace.filter"] > 0
+    assert baseline["records_per_second"] > 0
+    assert det["records"] > 0

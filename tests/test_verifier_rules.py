@@ -292,8 +292,8 @@ def test_l501_allows_flight_log_decoder(tmp_path):
 
 
 def test_l501_still_catches_flight_recorder_import(tmp_path):
-    # Only the log decoder is whitelisted — the recorder and profiler
-    # are live kernel state and stay off-limits to analysis code.
+    # Only the log decoder is whitelisted — the recorder is live kernel
+    # state and stays off-limits to analysis code.
     findings = _findings_for(tmp_path, {"repro/analysis/bad.py": """\
         from repro.nt.flight.recorder import FlightRecorder
         """})

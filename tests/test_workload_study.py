@@ -1,6 +1,5 @@
 """Tests for study orchestration and end-to-end reproduction bands."""
 
-import numpy as np
 import pytest
 
 from repro import StudyConfig, run_study
@@ -11,19 +10,19 @@ from repro.workload.study import _assign_categories
 class TestCategoryAssignment:
     def test_counts_match(self):
         cfg = StudyConfig(n_machines=10)
-        assigned = _assign_categories(cfg, np.random.default_rng(0))
+        assigned = _assign_categories(cfg)
         assert len(assigned) == 10
 
     def test_small_fleet_keeps_minorities(self):
         # Largest-remainder must not drop the 10% categories for n=8.
         cfg = StudyConfig(n_machines=8)
-        assigned = _assign_categories(cfg, np.random.default_rng(0))
+        assigned = _assign_categories(cfg)
         assert "administrative" in assigned
         assert "scientific" in assigned
 
     def test_proportions_roughly_respected(self):
         cfg = StudyConfig(n_machines=20)
-        assigned = _assign_categories(cfg, np.random.default_rng(0))
+        assigned = _assign_categories(cfg)
         assert assigned.count("personal") == 6  # 0.30 * 20
         assert assigned.count("walkup") == 5    # 0.25 * 20
 
