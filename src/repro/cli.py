@@ -359,45 +359,44 @@ def _print_perf_table(perf_by_machine, n_machines: int) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro import StudyConfig, StudyTelemetry, run_study
+    from repro import StudyConfig, StudyTelemetry
     from repro.nt.flight.log import (DEFAULT_METRICS_INTERVAL_SECONDS,
                                      METRICS_FILENAME, write_metrics_log)
-    from repro.nt.tracing.store import save_study
+    from repro.workload.study import archive_study
 
     telemetry = StudyTelemetry() if args.progress else None
-    result = run_study(StudyConfig(
+    machines = archive_study(StudyConfig(
         n_machines=args.machines, duration_seconds=args.seconds,
         seed=args.seed, content_scale=args.scale,
         workers=args.workers, spans_enabled=args.spans,
         verifier_enabled=args.verifier,
         metrics_interval_seconds=(DEFAULT_METRICS_INTERVAL_SECONDS
                                   if args.metrics else 0.0)),
-        telemetry=telemetry)
-    print(f"collected {result.total_records} records from "
-          f"{len(result.collectors)} machines")
+        args.out, telemetry=telemetry)
+    print(f"collected {sum(m.records for m in machines)} records from "
+          f"{len(machines)} machines")
     if args.spans:
-        n_spans = sum(len(c.span_records) for c in result.collectors)
-        print(f"recorded {n_spans} causal spans")
+        print(f"recorded {sum(m.spans for m in machines)} causal spans")
     if args.out is not None:
-        paths = save_study(result.collectors, args.out)
-        total = sum(p.stat().st_size for p in paths)
-        print(f"archived {len(paths)} machines to {args.out} "
+        total = sum(m.nbytes for m in machines)
+        print(f"archived {len(machines)} machines to {args.out} "
               f"({total / 1024:.0f} KB)")
     if args.metrics:
-        n_samples = sum(s.n_samples for s in result.metrics)
+        sections = [m.metrics for m in machines if m.metrics is not None]
+        n_samples = sum(s.n_samples for s in sections)
         print(f"flight recorder sampled {n_samples} intervals across "
-              f"{len(result.metrics)} machines")
+              f"{len(sections)} machines")
         if args.out is not None:
             path = args.out / METRICS_FILENAME
-            nbytes = write_metrics_log(result.metrics, path)
+            nbytes = write_metrics_log(sections, path)
             print(f"wrote metrics log to {path} ({nbytes / 1024:.0f} KB)")
     if args.perf:
+        perf = {m.name: m.perf for m in machines}
         # Persist before the chatty table print so the archive companion
         # survives a closed downstream pipe (`repro run --perf | head`).
         if args.out is not None:
-            _write_perf_json(result.perf, _study_meta(args),
-                             args.out / "perf.json")
-        _print_perf_table(result.perf, len(result.collectors))
+            _write_perf_json(perf, _study_meta(args), args.out / "perf.json")
+        _print_perf_table(perf, len(machines))
     return 0
 
 
@@ -411,6 +410,7 @@ def _study_meta(args: argparse.Namespace) -> dict:
 
 def cmd_study(args: argparse.Namespace) -> int:
     import json
+    import time
     import tracemalloc
 
     from repro import StudyConfig
@@ -432,14 +432,17 @@ def cmd_study(args: argparse.Namespace) -> int:
     gate_memory = args.max_peak_mb is not None
     if gate_memory:
         tracemalloc.start()
+    started = time.perf_counter()
     result = run_campaign(config, console)
+    wall_seconds = time.perf_counter() - started
+    console.campaign_done(result.sketch, wall_seconds)
     peak_mb = None
     if gate_memory:
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peak_mb = peak / (1024 * 1024)
-    rate = (result.total_records / result.wall_seconds
-            if result.wall_seconds else float("nan"))
+    rate = (result.total_records / wall_seconds
+            if wall_seconds else float("nan"))
     print(f"campaign: {result.sketch.n_machines} machines, "
           f"{result.total_records:,} records folded at {rate:,.0f} rec/s "
           f"(sketch sha256 {result.sketch.sha256()[:16]})")
@@ -475,7 +478,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
         workers = (None if args.workers is None
                    else resolve_workers(args.workers, args.machines))
-        payload = bench_payload(result, workers, peak_mb)
+        payload = bench_payload(result, workers, wall_seconds, peak_mb)
         args.bench_json.parent.mkdir(parents=True, exist_ok=True)
         args.bench_json.write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -627,7 +630,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     if args.streaming:
         from repro.analysis.streaming import (sketch_from_archive,
-                                              sketch_from_study,
                                               streaming_figure_series)
         if args.traces is not None:
             try:
@@ -635,10 +637,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
             except (FileNotFoundError, ValueError) as exc:
                 raise SystemExit(str(exc)) from None
         else:
-            from repro import StudyConfig, run_study
-            sketch = sketch_from_study(run_study(StudyConfig(
+            from repro import StudyConfig
+            from repro.workload.campaign import run_campaign
+            sketch = run_campaign(StudyConfig(
                 n_machines=6, duration_seconds=120, seed=args.seed,
-                workers=args.workers)))
+                workers=args.workers)).sketch
         figures = streaming_figure_series(
             sketch, np.random.default_rng(args.seed))
     else:

@@ -98,6 +98,12 @@ class TraceCollector:
     def __len__(self) -> int:
         return len(self._records) + self._n_staged
 
+    def __reduce__(self):
+        # A collector crosses a process boundary as its packed .nttrace
+        # payload, the bytes the archive round-trip tests guard.
+        from repro.nt.tracing.store import pack_collector, unpack_collector
+        return unpack_collector, (pack_collector(self),)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TraceCollector {self.machine_name}: {len(self)} "
                 f"records, {len(self.name_records)} names, "

@@ -63,10 +63,10 @@ def _write_str(buf: BinaryIO, text: str) -> None:
 def pack_collector(collector: TraceCollector) -> bytes:
     """Serialise a collector to the packed binary record format.
 
-    This is the archive's payload (before compression) and the transport
-    format of the parallel study engine: trace records are slotted frozen
-    dataclasses that do not pickle, so worker processes send their
-    collector back as these bytes (:mod:`repro.workload.parallel`).
+    This is the archive's payload (before compression) and the form in
+    which a collector pickles (``TraceCollector.__reduce__``), so it is
+    also what the machine driver's worker processes send back
+    (:mod:`repro.workload.parallel`).
     """
     buf = io.BytesIO()
     _write_str(buf, collector.machine_name)

@@ -1,12 +1,13 @@
-"""Replay orchestration: whole archived studies, serial or fanned out.
+"""Replay orchestration: whole archived studies through the machine driver.
 
-Mirrors the ``workload`` split between :mod:`repro.workload.study`
-(serial) and :mod:`repro.workload.parallel` (process pool): each archived
-machine replays independently — its seed derives from the replay seed and
-its index alone — so the fan-out rides the same generic
-:func:`repro.workload.parallel.run_pool` engine and the same packed-bytes
-transport, and the serial and parallel paths produce byte-identical
-second-generation archives.
+Each archived machine replays independently — its seed derives from the
+replay seed and its index alone — so :func:`replay_archive` hands one
+:class:`ReplayTask` per archive file to the same driver the study uses
+(:func:`repro.workload.parallel.drive`) with the keep sink.  The serial
+shape replays in-process; the worker shape re-reads each file in a
+worker and ships the replayed machine back, its collector as packed
+``.nttrace`` bytes.  Both shapes produce byte-identical second-generation
+archives.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ from pathlib import Path
 from typing import Optional
 
 from repro.nt.io.initiator import ReplayOutcome
-from repro.nt.tracing.store import (
-    load_collector,
-    pack_collector,
-    study_paths,
-    unpack_collector,
-)
+from repro.nt.tracing.store import load_collector, study_paths
 from repro.replay.engine import ReplayConfig, ReplayedMachine, replay_collector
+from repro.workload.parallel import KeepSink, drive
 from repro.workload.study import StudyTelemetry
-from repro.workload.parallel import resolve_workers, run_pool
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,7 @@ class ReplayTask:
     """Pickling-friendly description of one machine's replay.
 
     Workers re-read the archive file themselves (the path is cheap to
-    pickle; the collector is not), so the parent never ships trace data
+    pickle; the trace is not), so the parent never ships trace data
     to the pool.
     """
 
@@ -43,6 +39,20 @@ class ReplayTask:
     @property
     def machine_name(self) -> str:
         return Path(self.path).stem
+
+    def run(self, telemetry: Optional[StudyTelemetry] = None
+            ) -> ReplayedMachine:
+        """Replay this archive file."""
+        source = load_collector(Path(self.path))
+        replayed = replay_collector(source, self.index, self.config)
+        if telemetry is not None:
+            telemetry.emit(
+                "replay-machine-done", machine=replayed.name,
+                index=self.index,
+                records=replayed.outcome.source_records,
+                skipped=replayed.outcome.skipped_records,
+                divergences=replayed.outcome.total_divergences)
+        return replayed
 
 
 class ReplayResult:
@@ -82,41 +92,6 @@ class ReplayResult:
         return sum(m.outcome.total_divergences for m in self.machines)
 
 
-def _replay_task(task: ReplayTask, events_queue=None) -> dict:
-    """Worker entry point: replay one archive file, return a payload."""
-    source = load_collector(Path(task.path))
-    replayed = replay_collector(source, task.index, task.config)
-    if events_queue is not None:
-        events_queue.put({
-            "event": "replay-machine-done",
-            "machine": replayed.name,
-            "index": task.index,
-            "records": replayed.outcome.source_records,
-            "skipped": replayed.outcome.skipped_records,
-            "divergences": replayed.outcome.total_divergences,
-        })
-    return {
-        "index": replayed.index,
-        "name": replayed.name,
-        "category": replayed.category,
-        "collector": pack_collector(replayed.collector),
-        "outcome": replayed.outcome.to_dict(),
-        "perf": replayed.perf,
-        "metrics": replayed.metrics,
-    }
-
-
-def _machine_from_payload(payload: dict) -> ReplayedMachine:
-    return ReplayedMachine(
-        index=payload["index"],
-        name=payload["name"],
-        category=payload["category"],
-        collector=unpack_collector(payload["collector"]),
-        outcome=ReplayOutcome.from_dict(payload["outcome"]),
-        perf=payload["perf"],
-        metrics=payload["metrics"])
-
-
 def replay_archive(directory: Path | str,
                    config: ReplayConfig = ReplayConfig(),
                    telemetry: Optional[StudyTelemetry] = None
@@ -136,28 +111,12 @@ def replay_archive(directory: Path | str,
                        n_machines=len(tasks),
                        workers=config.workers if config.workers is not None
                        else "serial")
-    if config.workers is None:
-        machines = []
-        for task in tasks:
-            source = load_collector(Path(task.path))
-            replayed = replay_collector(source, task.index, config)
-            machines.append(replayed)
-            if telemetry is not None:
-                telemetry.emit(
-                    "replay-machine-done", machine=replayed.name,
-                    index=task.index,
-                    records=replayed.outcome.source_records,
-                    skipped=replayed.outcome.skipped_records,
-                    divergences=replayed.outcome.total_divergences)
-    else:
-        n_workers = resolve_workers(config.workers, len(tasks))
-        payloads = run_pool(_replay_task, tasks, n_workers, telemetry,
-                            describe=lambda task: task.machine_name)
-        machines = [_machine_from_payload(p) for p in payloads]
-    result = ReplayResult(machines, config.mode)
+    keep = KeepSink()
+    drive(tasks, keep, config.workers, telemetry)
+    result = ReplayResult(keep.parts, config.mode)
     if telemetry is not None:
         telemetry.emit("replay-done", mode=config.mode,
-                       n_machines=len(machines),
+                       n_machines=len(result.machines),
                        replayed=result.total_replayed,
                        skipped=result.total_skipped,
                        divergences=result.total_divergences)

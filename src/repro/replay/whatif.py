@@ -18,11 +18,11 @@ Every cell also runs the closed-loop fidelity check: the replay's core
 operation counts must reconcile exactly with the source archive —
 a device model may move time, never operations.
 
-Cells replay sequentially; within a cell the archive's machines fan out
-through :func:`repro.replay.runner.replay_archive`, i.e. over the same
-``run_pool`` process pool the study engine uses.  Reports carry no wall
-clock, so a sweep is byte-identical across reruns and across serial vs
-``--workers`` execution.
+Cells replay sequentially; within a cell the archive's machines run
+through :func:`repro.replay.runner.replay_archive`, i.e. through the same
+machine driver the study uses, serially or in worker processes.  Reports
+carry no wall clock, so a sweep is byte-identical across reruns and
+across serial vs ``--workers`` execution.
 """
 
 from __future__ import annotations

@@ -2,28 +2,31 @@
 
 ``repro run`` archives every machine's trace and the analysis loads them
 all back — fine at seed scale, impossible at the paper's (45 machines,
-4 weeks, ~190M records).  A *campaign* instead folds each machine's
-staged trace blocks (:func:`~repro.analysis.streaming.fold_collector`)
-the moment it finishes simulating, keeps only the bounded-memory
-:class:`~repro.analysis.streaming.StatsSketch` plus one small integer
-row per machine, and discards the collector.  Peak memory is flat in
-machine count, which the CI ``study-smoke`` job gates with a
-``tracemalloc`` budget at 100 machines.
+4 weeks, ~190M records).  A *campaign* instead drives the fleet into the
+fold sink (:class:`FoldSink`): each machine's staged trace blocks are
+folded (:func:`~repro.analysis.streaming.fold_collector`) into a part
+sketch the moment it finishes simulating, the part is merged into the
+bounded-memory :class:`~repro.analysis.streaming.StatsSketch`, one small
+integer row per machine is kept, and the collector is discarded.  Peak
+memory is flat in machine count, which the CI ``study-smoke`` job gates
+with a ``tracemalloc`` budget at 100 machines.
 
 Determinism mirrors the study engine's: machine seeds derive from
 ``(config.seed, index)`` alone, sketch merges are commutative integer
-operations, and the parallel path ships per-machine *sketches* (not
-collectors) back from the workers and merges them in index order — so
-serial and ``--workers K`` campaigns produce byte-identical ``nt-study-1``
-artifacts, and the property tests merge shards in shuffled orders to the
-same bytes.
+operations, and in the driver's worker shape each worker folds its own
+machine and ships only the part sketch, which the parent merges in index
+order — so serial and ``--workers K`` campaigns produce byte-identical
+``nt-study-1`` artifacts, and the property tests merge shards in shuffled
+orders to the same bytes.
 
 :class:`CampaignConsole` is the live view: one line per machine with
 records/sec, the storage queue-depth and cache dirty-page watermarks
 (the ``storage.*.queue_depth_max`` / ``cc.dirty_pages_peak`` perf gauges
 the flight recorder also samples), and the phase ETA.  Wall-clock only
 ever reaches the console and the bench payload's non-deterministic
-block — never the artifact.
+block — never the artifact.  The campaign itself reads no clock: the
+caller times it and passes the wall seconds to
+:meth:`CampaignConsole.campaign_done` and :func:`bench_payload`.
 """
 
 from __future__ import annotations
@@ -36,12 +39,8 @@ from typing import Optional, TextIO
 
 from repro.analysis.streaming import StatsSketch, fold_collector
 from repro.common.clock import ticks_from_seconds
-from repro.workload.study import (
-    StudyConfig,
-    StudyTelemetry,
-    _assign_categories,
-    simulate_machine,
-)
+from repro.workload.parallel import drive, machine_tasks
+from repro.workload.study import StudyConfig, StudyTelemetry
 
 ARTIFACT_FORMAT = "nt-study-1"
 BENCH_FORMAT = "nt-study-bench-1"
@@ -138,7 +137,6 @@ class CampaignResult:
     machine_rows: list[dict] = field(default_factory=list)
     # Per-machine PerfRegistry snapshots (deterministic), machine order.
     perf: dict[str, dict] = field(default_factory=dict)
-    wall_seconds: float = 0.0
 
     @property
     def total_records(self) -> int:
@@ -157,30 +155,40 @@ def _machine_row(index: int, name: str, category: str, records: int,
             "dirty_pages_peak": dirty_peak}
 
 
-def _fold_campaign_task(task, events_queue=None) -> dict:
-    """Worker entry point: simulate one machine and return its *sketch*.
+class FoldSink:
+    """The driver's fold sink: each machine is folded into its own part
+    sketch where it was simulated, and the parent merges the parts in
+    index order, keeping one row and one perf snapshot per machine.
 
-    Unlike the study engine's ``_simulate_task``, the collector never
-    crosses the process boundary — the worker folds it locally and ships
-    the bounded-size partial sketch, so a paper-scale parallel campaign
-    moves kilobytes per machine, not the whole trace.
+    ``console.machine_folded`` is called right after each merge, in the
+    parent, while later machines may still be simulating.
     """
-    from repro.workload.parallel import _QueueTelemetry
 
-    telemetry = (_QueueTelemetry(events_queue)
-                 if events_queue is not None else None)
-    artifact = simulate_machine(task.config, task.index, task.category_name,
-                                task.n_total, telemetry=telemetry)
-    part = StatsSketch()
-    fold_collector(part, task.index, task.category_name, artifact.collector)
-    return {
-        "index": task.index,
-        "name": artifact.name,
-        "category": task.category_name,
-        "records": len(artifact.collector),
-        "perf": artifact.perf,
-        "sketch": part.to_dict(),
-    }
+    def __init__(self, console: Optional[CampaignConsole] = None) -> None:
+        self.sketch = StatsSketch()
+        self.rows: list[dict] = []
+        self.perf: dict[str, dict] = {}
+        self.console = console
+
+    @staticmethod
+    def reduce(artifact) -> tuple[dict, dict, StatsSketch]:
+        part = StatsSketch()
+        fold_collector(part, artifact.index, artifact.category,
+                       artifact.collector)
+        row = _machine_row(artifact.index, artifact.name, artifact.category,
+                           len(artifact.collector), artifact.perf)
+        return row, artifact.perf, part
+
+    def take(self, part: tuple[dict, dict, StatsSketch]) -> None:
+        row, perf, sketch = part
+        self.sketch.merge(sketch)
+        self.rows.append(row)
+        self.perf[row["name"]] = perf
+        if self.console is not None:
+            self.console.machine_folded(row["index"], row["name"],
+                                        row["records"],
+                                        row["queue_depth_peak"],
+                                        row["dirty_pages_peak"])
 
 
 def run_campaign(config: StudyConfig,
@@ -188,58 +196,15 @@ def run_campaign(config: StudyConfig,
                  ) -> CampaignResult:
     """Run a streaming campaign: simulate → fold → discard, per machine.
 
-    Serial (``config.workers is None``) folds each machine's collector
-    the moment its simulation finishes and drops it before the next
-    machine builds.  Parallel fans the simulate+fold unit out over
-    worker processes and merges the partial sketches in machine index
-    order.  Both paths produce byte-identical sketches — every merge is
-    commutative, so order cannot matter (the shard-permutation property
-    tests hold this).
+    The fold sink of the machine driver: ``config.workers`` picks the
+    serial or the worker shape, and both produce byte-identical sketches.
     """
-    started = time.perf_counter()
-    sketch = StatsSketch()
-    result = CampaignResult(
-        sketch=sketch, config=config,
-        duration_ticks=ticks_from_seconds(config.duration_seconds))
-    if config.workers is not None:
-        from repro.workload.parallel import (machine_tasks, resolve_workers,
-                                             run_pool)
-        tasks = machine_tasks(config)
-        n_workers = resolve_workers(config.workers, len(tasks))
-        payloads = run_pool(_fold_campaign_task, tasks, n_workers, console,
-                            describe=lambda task: task.machine_name)
-        for payload in payloads:
-            sketch.merge(StatsSketch.from_dict(payload["sketch"]))
-            row = _machine_row(payload["index"], payload["name"],
-                               payload["category"], payload["records"],
-                               payload["perf"])
-            result.machine_rows.append(row)
-            result.perf[payload["name"]] = payload["perf"]
-            if console is not None:
-                console.machine_folded(row["index"], row["name"],
-                                       row["records"],
-                                       row["queue_depth_peak"],
-                                       row["dirty_pages_peak"])
-    else:
-        categories = _assign_categories(config)
-        for index, category_name in enumerate(categories):
-            artifact = simulate_machine(config, index, category_name,
-                                        len(categories), telemetry=console)
-            fold_collector(sketch, index, category_name, artifact.collector)
-            row = _machine_row(index, artifact.name, category_name,
-                               len(artifact.collector), artifact.perf)
-            result.machine_rows.append(row)
-            result.perf[artifact.name] = artifact.perf
-            if console is not None:
-                console.machine_folded(index, artifact.name,
-                                       row["records"],
-                                       row["queue_depth_peak"],
-                                       row["dirty_pages_peak"])
-            del artifact  # the whole point: one machine resident at a time
-    result.wall_seconds = time.perf_counter() - started
-    if console is not None:
-        console.campaign_done(sketch, result.wall_seconds)
-    return result
+    sink = FoldSink(console)
+    drive(machine_tasks(config), sink, config.workers, console)
+    return CampaignResult(
+        sketch=sink.sketch, config=config,
+        duration_ticks=ticks_from_seconds(config.duration_seconds),
+        machine_rows=sink.rows, perf=sink.perf)
 
 
 # --------------------------------------------------------------------- #
@@ -290,18 +255,19 @@ def load_study_artifact(path) -> tuple[dict, StatsSketch]:
 
 
 def bench_payload(result: CampaignResult, workers: Optional[int],
+                  wall_seconds: float,
                   peak_traced_mb: Optional[float] = None) -> dict:
     """The CI ``BENCH_study.json`` payload.
 
     Everything under ``deterministic`` is a pure function of the study
     parameters; ``sketch_sha256`` pins the whole aggregate — a single
-    drifted bucket anywhere flips it.  Wall-clock and memory live
-    outside the block; ``peak_traced_mb`` is None for an untraced
-    (timed) campaign.
+    drifted bucket anywhere flips it.  Wall-clock (measured by the
+    caller) and memory live outside the block; ``peak_traced_mb`` is
+    None for an untraced (timed) campaign.
     """
     config = result.config
-    rate = (result.total_records / result.wall_seconds
-            if result.wall_seconds else float("nan"))
+    rate = (result.total_records / wall_seconds
+            if wall_seconds else float("nan"))
     return {
         "format": BENCH_FORMAT,
         "deterministic": {
@@ -314,7 +280,7 @@ def bench_payload(result: CampaignResult, workers: Optional[int],
             "sketch_sha256": result.sketch.sha256(),
         },
         "workers": workers,
-        "wall_seconds": result.wall_seconds,
+        "wall_seconds": wall_seconds,
         "records_per_second": rate,
         "peak_traced_mb": peak_traced_mb,
     }

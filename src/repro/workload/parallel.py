@@ -1,37 +1,51 @@
-"""Parallel multi-machine study execution.
+"""The machine driver: every fleet run goes through :func:`drive`.
 
-The paper traced 45 machines *concurrently* for four weeks; the serial
-``run_study`` loop simulates that fleet one machine at a time on one
-core.  This module fans the per-machine simulation out across a
-``ProcessPoolExecutor`` (spawn context, so it behaves identically under
-fork-unsafe embeddings) while guaranteeing the merged result is
-byte-identical to the serial path:
+``run_study``, ``repro run``, ``repro study`` and replay all run machines
+the same way.  The driver runs one task per machine and hands each
+finished machine to a *sink*, in machine-index order, as soon as that
+machine and every lower index are done.  Three sinks cover every caller:
 
-* **Seeding** — a machine's seed derives from ``config.seed`` and its
-  index alone (inside :func:`~repro.workload.study.simulate_machine`), so
-  workers need no shared random state and each is independently
-  deterministic.
-* **Transport** — trace records are slotted frozen dataclasses that do
-  not survive ``pickle``; collectors cross the process boundary in the
-  trace store's packed binary format
-  (:func:`repro.nt.tracing.store.pack_collector`), the same bytes the
-  ``.nttrace`` archive uses, whose round-trip the test suite guards.
-* **Merge** — artifacts are merged in machine *index* order
-  (:func:`~repro.workload.study.merge_artifacts`), never completion
-  order, so ``StudyResult`` and ``perf.json`` match the serial run byte
-  for byte.  Wall-clock never enters results; worker topology only
-  decides *where* a machine simulates.
+* **keep** (:class:`KeepSink`) holds every machine whole: ``run_study``
+  builds its ``StudyResult`` from them, ``replay_archive`` its
+  ``ReplayResult``;
+* **fold** (:class:`~repro.workload.campaign.FoldSink`) folds each
+  machine into a part sketch and merges it (``repro study``);
+* **archive** (:class:`ArchiveSink`) writes each machine's ``.nttrace``
+  and keeps only its perf snapshot, metrics section and counts
+  (``repro run``).
+
+A sink has two halves.  ``reduce(artifact)`` runs in the process that
+simulated the machine; ``take(part)`` runs in the caller's process.  The
+driver has two shapes:
+
+* **serial** (``workers=None``) runs each task in-process and hands the
+  reduced part straight over.  Nothing is packed or pickled, and each
+  machine is dropped before the next one builds.
+* **worker** fans the tasks out over a spawn-context
+  ``ProcessPoolExecutor``.  A worker runs the task and ``reduce``; only
+  the part crosses the process boundary: a kept collector as its packed
+  ``.nttrace`` payload (``TraceCollector`` pickles that way), a part
+  sketch, or an archived machine's counts.  The parent takes parts in
+  index order while later machines are still simulating.
+
+Both shapes give byte-identical output.  A machine's seed derives from
+the study seed and its index alone (``seed * 10_007 + index``, inside
+:func:`~repro.workload.study.simulate_machine`), so it does not matter
+which process simulates it, and the hand-off order is the index order,
+never the completion order.
 
 Telemetry: workers forward their progress events over a manager queue; a
 drain thread in the parent re-emits them through the caller's
 :class:`~repro.workload.study.StudyTelemetry`, whose lock keeps lines
-whole.  Worker events may interleave *between* lines (completion order is
-nondeterministic) but never mid-line, and ``study-done`` is always last.
+whole.  Worker events may interleave *between* lines, never mid-line, and
+all of them are re-emitted before ``drive`` returns, so the caller's
+final event (``study-done``, ``replay-done``, ``campaign-done``) is last.
 
 A worker failure of any kind — an exception inside the simulation, a
-payload that cannot be pickled, or the worker process dying outright
+part that cannot be pickled, or the worker process dying outright
 (``BrokenProcessPool``) — surfaces as a :class:`StudyError` naming the
-machine, never a bare pool traceback.
+machine, never a bare pool traceback.  Parts taken before the failure
+stay taken, and archive files already written stay on disk.
 """
 
 from __future__ import annotations
@@ -40,22 +54,22 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
+from pathlib import Path
 from queue import Empty
 from threading import Event, Thread
 from typing import Optional
 
-from repro.common.clock import ticks_from_seconds
-from repro.nt.tracing.store import pack_collector, unpack_collector
+from repro.nt.flight.log import MetricsSection
+from repro.nt.tracing.store import save_collector
 from repro.workload.study import (
     MachineArtifact,
     StudyConfig,
     StudyError,
-    StudyResult,
     StudyTelemetry,
     _assign_categories,
     machine_name_for,
-    merge_artifacts,
     simulate_machine,
 )
 
@@ -68,8 +82,8 @@ class MachineTask:
 
     ``fault`` is test-only fault injection for the error-path tests:
     ``"raise"`` raises inside the worker, ``"crash"`` kills the worker
-    process outright, ``"unpicklable-result"`` poisons the result payload
-    so it cannot be sent back.
+    process outright, ``"unpicklable-result"`` poisons the machine's perf
+    snapshot so no sink's part can be sent back.
     """
 
     index: int
@@ -81,6 +95,21 @@ class MachineTask:
     @property
     def machine_name(self) -> str:
         return machine_name_for(self.index, self.category_name)
+
+    def run(self, telemetry: Optional[StudyTelemetry] = None
+            ) -> MachineArtifact:
+        """Simulate this machine."""
+        if self.fault == "crash":
+            os._exit(13)
+        if self.fault == "raise":
+            raise RuntimeError(
+                f"injected fault in worker for {self.machine_name}")
+        artifact = simulate_machine(self.config, self.index,
+                                    self.category_name, self.n_total,
+                                    telemetry)
+        if self.fault == "unpicklable-result":
+            artifact.perf["poison"] = lambda: None
+        return artifact
 
 
 def machine_tasks(config: StudyConfig) -> list[MachineTask]:
@@ -98,6 +127,67 @@ def resolve_workers(workers: Optional[int], n_machines: int) -> int:
     return max(1, min(workers, max(1, n_machines)))
 
 
+class KeepSink:
+    """The keep sink, and the two halves every sink has.
+
+    ``reduce(artifact)`` runs where the machine was simulated.  The worker
+    shape pickles it by reference, so it is a static method or a
+    ``functools.partial`` of a module function, and its return value must
+    pickle.  ``take(part)`` runs in the caller's process, once per
+    machine, in index order.
+
+    Keep passes each artifact through whole and holds every one in
+    ``parts``.
+    """
+
+    def __init__(self) -> None:
+        self.parts: list = []
+
+    @staticmethod
+    def reduce(artifact):
+        return artifact
+
+    def take(self, part) -> None:
+        self.parts.append(part)
+
+
+@dataclass
+class ArchivedMachine:
+    """What the archive sink keeps of one machine."""
+
+    name: str
+    records: int
+    spans: int
+    # Bytes of the written .nttrace file (0 when nothing was written).
+    nbytes: int
+    perf: dict
+    metrics: Optional[MetricsSection] = None
+
+
+def _archive_machine(directory: Optional[Path], artifact) -> ArchivedMachine:
+    collector = artifact.collector
+    nbytes = 0
+    if directory is not None:
+        nbytes = save_collector(
+            collector, directory / f"{collector.machine_name}.nttrace")
+    return ArchivedMachine(name=artifact.name, records=len(collector),
+                           spans=len(collector.span_records), nbytes=nbytes,
+                           perf=artifact.perf, metrics=artifact.metrics)
+
+
+class ArchiveSink(KeepSink):
+    """The archive sink: each machine's ``.nttrace`` is written into
+    ``directory`` by the process that simulated it, and ``parts`` holds
+    one :class:`ArchivedMachine` per machine.  With ``directory`` None
+    nothing is written, and a run still holds one trace at a time."""
+
+    def __init__(self, directory: Optional[Path]) -> None:
+        super().__init__()
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
+        self.reduce = partial(_archive_machine, directory)
+
+
 class _QueueTelemetry(StudyTelemetry):
     """Worker-side telemetry that forwards every event to the parent."""
 
@@ -110,28 +200,11 @@ class _QueueTelemetry(StudyTelemetry):
         self._queue.put({"event": event, **fields})
 
 
-def _simulate_task(task: MachineTask, events_queue=None) -> dict:
-    """Worker entry point: simulate one machine, return a picklable payload."""
-    if task.fault == "crash":
-        os._exit(13)
-    if task.fault == "raise":
-        raise RuntimeError(
-            f"injected fault in worker for {task.machine_name}")
+def _work(task, reduce, events_queue=None):
+    """Worker entry point: run one task and reduce it for the parent."""
     telemetry = (_QueueTelemetry(events_queue)
                  if events_queue is not None else None)
-    artifact = simulate_machine(task.config, task.index, task.category_name,
-                                task.n_total, telemetry=telemetry)
-    payload = {
-        "index": artifact.index,
-        "name": artifact.name,
-        "category": artifact.category,
-        "collector": pack_collector(artifact.collector),
-        "perf": artifact.perf,
-        "metrics": artifact.metrics,
-    }
-    if task.fault == "unpicklable-result":
-        payload["poison"] = lambda: None
-    return payload
+    return reduce(task.run(telemetry))
 
 
 def _drain_events(queue, telemetry: StudyTelemetry, stop: Event) -> None:
@@ -146,20 +219,19 @@ def _drain_events(queue, telemetry: StudyTelemetry, stop: Event) -> None:
         telemetry.emit_record(record)
 
 
-def run_pool(worker, tasks, n_workers: int,
-             telemetry: Optional[StudyTelemetry] = None,
-             describe=str) -> list:
-    """Execute per-machine tasks on a spawn-context process pool.
+def drive(tasks, sink, workers: Optional[int] = None,
+          telemetry: Optional[StudyTelemetry] = None) -> None:
+    """Run every task's machine and hand it to ``sink`` in index order.
 
-    The generic engine under both study simulation and trace replay
-    (:mod:`repro.replay.runner`): ``worker(task, events_queue)`` runs in a
-    worker process and returns a picklable payload; payloads come back in
-    *task* order, never completion order.  Any worker failure — an
-    exception, an unpicklable payload, or the process dying outright — is
-    raised as a :class:`StudyError` naming ``describe(task)`` (with a
-    broken pool the earliest still-pending task is named, since the pool
-    cannot attribute the death more precisely).
+    ``tasks`` are in index order; each has ``run(telemetry)``, which
+    returns the machine's artifact, and ``machine_name``.  ``workers``
+    None is the serial shape; an int is the worker shape with that many
+    processes (0 = one per CPU core, capped at the fleet size).
     """
+    if workers is None:
+        for task in tasks:
+            sink.take(sink.reduce(task.run(telemetry)))
+        return
     ctx = get_context(_MP_CONTEXT)
     manager = events_queue = drainer = None
     stop = Event()
@@ -169,56 +241,26 @@ def run_pool(worker, tasks, n_workers: int,
         drainer = Thread(target=_drain_events,
                          args=(events_queue, telemetry, stop), daemon=True)
         drainer.start()
-    payloads: list = []
     try:
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 mp_context=ctx) as pool:
-            futures = [(task, pool.submit(worker, task, events_queue))
+        with ProcessPoolExecutor(
+                max_workers=resolve_workers(workers, len(tasks)),
+                mp_context=ctx) as pool:
+            futures = [(task, pool.submit(_work, task, sink.reduce,
+                                          events_queue))
                        for task in tasks]
             for task, future in futures:
                 try:
-                    payloads.append(future.result())
+                    part = future.result()
                 except Exception as exc:
                     kind = ("worker process died"
                             if isinstance(exc, BrokenProcessPool)
                             else type(exc).__name__)
                     raise StudyError(
-                        f"parallel worker for machine {describe(task)} "
+                        f"parallel worker for machine {task.machine_name} "
                         f"failed ({kind}): {exc}") from exc
+                sink.take(part)
     finally:
         if telemetry is not None:
             stop.set()
             drainer.join(timeout=10.0)
             manager.shutdown()
-    return payloads
-
-
-def run_tasks(tasks: list[MachineTask], n_workers: int,
-              telemetry: Optional[StudyTelemetry] = None
-              ) -> list[MachineArtifact]:
-    """Execute machine tasks on a process pool; artifacts in index order."""
-    payloads = run_pool(_simulate_task, tasks, n_workers, telemetry,
-                        describe=lambda task: task.machine_name)
-    return [MachineArtifact(
-        index=payload["index"],
-        name=payload["name"],
-        category=payload["category"],
-        collector=unpack_collector(payload["collector"]),
-        perf=payload["perf"],
-        metrics=payload["metrics"]) for payload in payloads]
-
-
-def run_study_parallel(config: StudyConfig,
-                       telemetry: Optional[StudyTelemetry] = None
-                       ) -> StudyResult:
-    """Run a study with its machines fanned out over worker processes.
-
-    Byte-identical to the serial ``run_study`` for the same config seed;
-    see the module docstring for the three guarantees that make it so.
-    """
-    tasks = machine_tasks(config)
-    n_workers = resolve_workers(config.workers, len(tasks))
-    artifacts = run_tasks(tasks, n_workers, telemetry)
-    return merge_artifacts(artifacts,
-                           ticks_from_seconds(config.duration_seconds),
-                           telemetry)

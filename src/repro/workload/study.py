@@ -6,14 +6,14 @@ drives heavy-tailed application sessions on every machine, takes start and
 end snapshots, and returns the collectors — the equivalent of the paper's
 4-week, 45-machine data collection, scaled down in duration.
 
-The per-machine simulation is factored into :func:`simulate_machine`, the
-unit of fan-out for the parallel engine (:mod:`repro.workload.parallel`):
-every random stream a machine consumes derives from ``config.seed`` and
-the machine index alone, so a machine produces identical traces whether it
-runs inline or in a worker process.  :func:`merge_artifacts` is the
-order-stable merge both paths share — results are assembled in machine
-index order, never completion order, which keeps a study's output
-byte-identical across worker counts.
+The per-machine simulation is :func:`simulate_machine`, the unit the
+machine driver (:mod:`repro.workload.parallel`) runs serially or in
+worker processes: every random stream a machine consumes derives from
+``config.seed`` and the machine index alone, so a machine produces
+identical traces wherever it runs.  ``run_study`` drives the fleet into
+the keep sink; :func:`archive_study` drives it into the archive sink,
+which writes each machine's ``.nttrace`` as soon as it finishes, the way
+the paper's collection servers stored each stream as it arrived.
 
 :class:`StudyTelemetry` is the run's progress layer: structured
 per-machine (and, for day-scale runs, per-simulated-day) progress lines,
@@ -30,6 +30,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -212,9 +213,9 @@ def _apportion(weights: Sequence[float], total: int) -> list[int]:
 def _assign_categories(config: StudyConfig) -> list[str]:
     """Machine categories for a study, in stable category-mix order.
 
-    Purely a function of the config, which is what lets the serial and
-    parallel engines agree on machine identities without sharing any
-    state.
+    Purely a function of the config, which is what lets the driver's
+    serial and worker shapes agree on machine identities without sharing
+    any state.
     """
     assigned: list[str] = []
     counts = _apportion([w for _n, w in config.category_mix],
@@ -365,7 +366,7 @@ def _install_day_marks(machine, horizon: int,
 
 @dataclass
 class MachineArtifact:
-    """One machine's complete simulation output, ready to merge."""
+    """One machine's complete simulation output, ready for a sink."""
 
     index: int
     name: str
@@ -380,12 +381,12 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
                      n_total: int,
                      telemetry: Optional[StudyTelemetry] = None
                      ) -> MachineArtifact:
-    """Simulate one machine of a study — the unit of parallel fan-out.
+    """Simulate one machine of a study — the unit the driver runs.
 
     Fully self-contained: the machine's seed derives from ``config.seed``
     and ``index`` alone (``seed * 10_007 + index``), so the same machine
-    produces the same trace whether it runs inline in the serial loop or
-    in a worker process of :mod:`repro.workload.parallel`.
+    produces the same trace whether it runs in the driver's serial shape
+    or in a worker process.
     """
     horizon = ticks_from_seconds(config.duration_seconds)
     name = machine_name_for(index, category_name)
@@ -439,45 +440,43 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
                  if machine.flight is not None else None))
 
 
-def merge_artifacts(artifacts: Sequence[MachineArtifact],
-                    duration_ticks: int,
-                    telemetry: Optional[StudyTelemetry] = None
-                    ) -> StudyResult:
-    """Order-stable merge of per-machine artifacts into a study result.
-
-    Artifacts are assembled in machine *index* order regardless of the
-    order they arrive in, so a parallel run's ``StudyResult`` (and its
-    ``perf.json``) is byte-identical to the serial run's.
-    """
-    ordered = sorted(artifacts, key=lambda a: a.index)
-    collectors = [a.collector for a in ordered]
-    if telemetry is not None:
-        telemetry.emit("study-done", machines=len(collectors),
-                       records=sum(len(c) for c in collectors))
-    return StudyResult(
-        collectors=collectors,
-        machine_categories={a.name: a.category for a in ordered},
-        duration_ticks=duration_ticks,
-        perf={a.name: a.perf for a in ordered},
-        metrics=[a.metrics for a in ordered if a.metrics is not None])
-
-
 def run_study(config: StudyConfig,
               telemetry: Optional[StudyTelemetry] = None) -> StudyResult:
-    """Run a full trace collection study and return its results.
+    """Run a full trace collection study and keep every machine's trace.
 
-    With ``config.workers`` set, the per-machine loop fans out across a
-    process pool (see :mod:`repro.workload.parallel`); otherwise machines
-    simulate serially in-process.  Both paths produce identical results.
+    The driver's keep sink: ``config.workers`` picks the serial or the
+    worker shape (see :mod:`repro.workload.parallel`), and both produce
+    identical results.
     """
-    if config.workers is not None:
-        from repro.workload.parallel import run_study_parallel
-        return run_study_parallel(config, telemetry)
-    categories = _assign_categories(config)
-    artifacts = [
-        simulate_machine(config, index, category_name, len(categories),
-                         telemetry)
-        for index, category_name in enumerate(categories)]
-    return merge_artifacts(artifacts,
-                           ticks_from_seconds(config.duration_seconds),
-                           telemetry)
+    from repro.workload.parallel import KeepSink, drive, machine_tasks
+    keep = KeepSink()
+    drive(machine_tasks(config), keep, config.workers, telemetry)
+    artifacts = keep.parts
+    if telemetry is not None:
+        telemetry.emit("study-done", machines=len(artifacts),
+                       records=sum(len(a.collector) for a in artifacts))
+    return StudyResult(
+        collectors=[a.collector for a in artifacts],
+        machine_categories={a.name: a.category for a in artifacts},
+        duration_ticks=ticks_from_seconds(config.duration_seconds),
+        perf={a.name: a.perf for a in artifacts},
+        metrics=[a.metrics for a in artifacts if a.metrics is not None])
+
+
+def archive_study(config: StudyConfig, directory: Optional[Path] = None,
+                  telemetry: Optional[StudyTelemetry] = None) -> list:
+    """Run a study through the driver's archive sink.
+
+    Each machine's ``.nttrace`` lands in ``directory`` as soon as the
+    machine finishes, so the run holds at most one machine's trace at a
+    time (with ``directory`` None nothing is written).  Returns one
+    :class:`~repro.workload.parallel.ArchivedMachine` per machine, in
+    index order: counts, perf snapshot and metrics section.
+    """
+    from repro.workload.parallel import ArchiveSink, drive, machine_tasks
+    sink = ArchiveSink(directory)
+    drive(machine_tasks(config), sink, config.workers, telemetry)
+    if telemetry is not None:
+        telemetry.emit("study-done", machines=len(sink.parts),
+                       records=sum(m.records for m in sink.parts))
+    return sink.parts

@@ -19,7 +19,9 @@ series, and ``state`` lost the table.  ``records``, ``archives`` and
 Two comparisons keep running on the one path: ``--workers 2`` against
 serial, and the runtime verifier against a plain run.  The verifier turns
 off IRP reuse on a declined FastIO call, so the plain run is the only one
-that exercises reuse.
+that exercises reuse.  ``repro run --out`` writes each machine's archive
+as soon as the machine finishes, serially or in its worker process; the
+files it writes and its ``perf.json`` decode to the same goldens.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import json
 import pytest
 
 from repro import StudyConfig, run_study
-from repro.nt.perf import perf_json_bytes
+from repro.cli import main as cli_main
+from repro.nt.perf import load_perf_json, perf_json_bytes
 from repro.nt.tracing.spans import SPAN_STRUCT, SpanRecord
-from repro.nt.tracing.store import pack_collector
+from repro.nt.tracing.store import load_collector, pack_collector, study_paths
 
 SEEDS = (3, 11, 23)
 
@@ -161,3 +164,22 @@ def test_verifier_mode_identical():
     """
     cfg = _config(SEEDS[0], verifier_enabled=True)
     assert _digests(run_study(cfg)) == GOLDEN[SEEDS[0]]
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["serial", "workers2"])
+def test_run_out_archives_match_golden(tmp_path, workers):
+    """The files ``repro run --out`` writes as each machine finishes
+    decode to the study's archive and perf.json goldens."""
+    seed = SEEDS[0]
+    out = tmp_path / "traces"
+    argv = ["run", "--machines", "2", "--seconds", "15", "--seed", str(seed),
+            "--scale", "0.2", "--spans", "--metrics", "--perf",
+            "--out", str(out)]
+    if workers is not None:
+        argv += ["--workers", str(workers)]
+    assert cli_main(argv) == 0
+    archives = _sha256(pack_collector(load_collector(path))
+                       for path in study_paths(out))
+    assert archives == GOLDEN[seed]["archives"]
+    perf = load_perf_json(out / "perf.json")["machines"]
+    assert _sha256([perf_json_bytes(perf)]) == GOLDEN[seed]["perf_json"]

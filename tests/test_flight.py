@@ -46,7 +46,6 @@ from repro.analysis.timeseries import (
     analyze_metrics_log,
     reconcile_with_archive,
 )
-from repro.workload.parallel import run_study_parallel
 from tests.test_perf import _drive_small_workload
 
 
@@ -253,7 +252,7 @@ def _metrics_config(**overrides) -> StudyConfig:
 class TestStudyIntegration:
     def test_serial_parallel_metrics_byte_identical(self, tmp_path):
         serial = run_study(_metrics_config())
-        parallel = run_study_parallel(_metrics_config(workers=2))
+        parallel = run_study(_metrics_config(workers=2))
         a, b = tmp_path / "serial.ntmetrics", tmp_path / "par.ntmetrics"
         write_metrics_log(serial.metrics, a)
         write_metrics_log(parallel.metrics, b)

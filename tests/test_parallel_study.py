@@ -23,8 +23,8 @@ import pytest
 
 from repro import StudyConfig, StudyError, TraceWarehouse, run_study
 from repro.nt.perf import perf_json_bytes
-from repro.workload.parallel import (MachineTask, machine_tasks,
-                                     resolve_workers, run_tasks)
+from repro.workload.parallel import (KeepSink, MachineTask, drive,
+                                     machine_tasks, resolve_workers)
 from repro.workload.study import machine_name_for
 
 from tests.conftest import assert_studies_identical
@@ -131,21 +131,21 @@ class TestWorkerFailures:
         tasks[1] = dataclasses.replace(tasks[1], fault="raise")
         expected = machine_name_for(1, tasks[1].category_name)
         with pytest.raises(StudyError, match=expected):
-            run_tasks(tasks, n_workers=2)
+            drive(tasks, KeepSink(), workers=2)
 
     def test_worker_crash_is_not_bare_broken_pool(self):
         # A single poisoned machine so the broken pool's blame is exact.
         tasks = self._tasks(n_machines=1)
         tasks[0] = dataclasses.replace(tasks[0], fault="crash")
         with pytest.raises(StudyError, match=r"m00-.*worker process died"):
-            run_tasks(tasks, n_workers=1)
+            drive(tasks, KeepSink(), workers=1)
 
     def test_unpicklable_worker_payload_names_machine(self):
         tasks = self._tasks()
         tasks[1] = dataclasses.replace(tasks[1], fault="unpicklable-result")
         expected = machine_name_for(1, tasks[1].category_name)
         with pytest.raises(StudyError, match=expected):
-            run_tasks(tasks, n_workers=2)
+            drive(tasks, KeepSink(), workers=2)
 
     def test_unpicklable_machine_spec_names_machine(self):
         # App state that cannot cross the process boundary at submit time.
@@ -158,4 +158,4 @@ class TestWorkerFailures:
                                config=poisoned_config)
         expected = machine_name_for(1, tasks[1].category_name)
         with pytest.raises(StudyError, match=expected):
-            run_tasks(tasks, n_workers=2)
+            drive(tasks, KeepSink(), workers=2)

@@ -1,9 +1,9 @@
 """Round-trip tests for the packed trace format.
 
 ``pack_collector``/``unpack_collector`` is both the .nttrace archive
-payload and the parallel engine's wire format between worker processes
-and the parent — so lossiness here would silently corrupt parallel runs,
-not just archives.  These tests assert exact record-level equality after
+payload and the form a collector pickles to, which is how the machine
+driver's worker processes send kept collectors to the parent — so
+lossiness here would silently corrupt parallel runs, not just archives.  These tests assert exact record-level equality after
 a round trip, for the shared study fixture and for a study with periodic
 snapshots (the snapshot path carries the most structure).
 """
@@ -34,6 +34,13 @@ class TestPackRoundTrip:
     def test_pack_is_deterministic(self, small_study):
         collector = small_study.collectors[0]
         assert pack_collector(collector) == pack_collector(collector)
+
+    def test_pickle_is_the_packed_payload(self, small_study):
+        import pickle
+        collector = small_study.collectors[0]
+        restored = pickle.loads(pickle.dumps(collector))
+        _assert_collectors_equal(collector, restored)
+        assert pack_collector(restored) == pack_collector(collector)
 
     def test_repack_after_unpack_is_stable(self, small_study):
         # unpack → pack must converge immediately: the unpacked form
@@ -73,7 +80,7 @@ class TestPeriodicSnapshotRoundTrip:
             _assert_collectors_equal(collector, restored)
 
     def test_parallel_transport_equals_archive_path(self):
-        """The parallel engine's wire bytes are exactly the archive payload."""
+        """Collectors kept in worker processes come back byte-exact."""
         config = StudyConfig(n_machines=2, duration_seconds=6.0, seed=31,
                              content_scale=0.05, with_network_shares=False)
         serial = run_study(config)

@@ -125,7 +125,7 @@ class TestCampaignEngine:
 
     def test_bench_payload_shape(self, small_campaign):
         payload = bench_payload(small_campaign, workers=None,
-                                peak_traced_mb=12.5)
+                                wall_seconds=2.0, peak_traced_mb=12.5)
         assert payload["format"] == "nt-study-bench-1"
         det = payload["deterministic"]
         assert det["machines"] == SMALL["n_machines"]
@@ -133,6 +133,9 @@ class TestCampaignEngine:
         assert det["sketch_sha256"] == small_campaign.sketch.sha256()
         # Wall-clock and memory stay outside the deterministic block.
         assert "wall_seconds" not in det
+        assert payload["wall_seconds"] == 2.0
+        assert payload["records_per_second"] == \
+            small_campaign.total_records / 2.0
         assert payload["peak_traced_mb"] == 12.5
 
 
@@ -170,6 +173,16 @@ class TestStudyCli:
         bench = json.loads((tmp_path / "bench.json").read_text())
         assert bench["peak_traced_mb"] is None
         assert bench["records_per_second"] > 0
+
+    def test_console_done_line_is_last(self, capsys):
+        rc = cli_main([
+            "study", "--machines", "2", "--seconds", "8", "--seed", "5",
+            "--scale", "0.05"])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line[:9] for line in lines] == \
+            ["[study   ", "[study   ", "[study do"]
+        assert lines[-1].startswith("[study done] 2 machines")
 
     def test_memory_gate_failure(self, tmp_path, capsys):
         rc = cli_main([

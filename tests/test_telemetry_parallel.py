@@ -4,12 +4,15 @@ Worker processes forward progress events over a queue; the parent's drain
 thread re-emits them through one ``StudyTelemetry``.  These tests pin the
 operational guarantees: every printed line is well-formed (never
 interleaved mid-line even with concurrent workers), per-machine progress
-covers the whole fleet, ``study-done`` arrives after every worker event,
-and wall-clock phase profiling still accounts for the run's total time.
+covers the whole fleet, a campaign's console reports each machine while
+later ones still simulate, ``study-done`` arrives after every worker
+event, and wall-clock phase profiling still accounts for the run's total
+time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import re
 import time
@@ -75,6 +78,28 @@ class TestParallelTelemetry:
         # glue between the context managers.
         assert covered <= total + 1e-6
         assert total - covered < 0.25
+
+    def test_campaign_folds_while_workers_still_simulate(self):
+        # The driver hands machine 0 to the fold sink as soon as it is
+        # done, so the console's first line does not wait for the pool.
+        # The last machine simulates a hundred times longer than the
+        # others (about a second of wall time), which keeps the check
+        # independent of host load.
+        from repro.workload.campaign import CampaignConsole, FoldSink
+        from repro.workload.parallel import drive, machine_tasks
+        config = _parallel_config(n_machines=3)
+        tasks = machine_tasks(config)
+        tasks[-1] = dataclasses.replace(tasks[-1], config=dataclasses.replace(
+            config, duration_seconds=100 * config.duration_seconds))
+        console = CampaignConsole(len(tasks), quiet=True)
+        drive(tasks, FoldSink(console), config.workers, console)
+        events = [e["event"] for e in console.events]
+        assert events.count("machine-done") == 3
+        last_done = len(events) - 1 - events[::-1].index("machine-done")
+        assert events.index("machine-folded") < last_done
+        folded = [e["index"] for e in console.events
+                  if e["event"] == "machine-folded"]
+        assert folded == [0, 1, 2]
 
     def test_telemetry_presence_never_changes_results(self):
         from tests.conftest import assert_studies_identical
