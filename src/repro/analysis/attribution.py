@@ -28,7 +28,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.nt.tracing.records import TraceEventKind
+import numpy as np
+
+from repro.analysis.warehouse import record_rows
+from repro.nt.tracing.records import RECORD_COLUMNS, TraceEventKind
 from repro.nt.tracing.spans import (
     SPAN_BACKGROUND,
     SpanCause,
@@ -40,6 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 # 100 ns simulator ticks.
 _TICKS_PER_MICROSECOND = 10
+
+_KIND = RECORD_COLUMNS.index("kind")
+_LENGTH = RECORD_COLUMNS.index("length")
 
 # The data-path kinds the critical-path decomposition reports on.
 DATA_PATH_KINDS: tuple[TraceEventKind, ...] = (
@@ -163,13 +169,17 @@ def reconcile_attribution(collector: "TraceCollector") -> dict[str, dict]:
     and their byte total must equal the number of trace records of that
     kind and their byte total.  Returns ``{}`` when the accounting is
     exact; otherwise a ``{kind_name: {"records": (n, bytes),
-    "spans": (n, bytes)}}`` mapping naming each discrepancy.
+    "spans": (n, bytes)}}`` mapping naming each discrepancy.  The record
+    side is read from the collector's rows in place.
     """
-    record_counts: Counter = Counter()
-    record_bytes: Counter = Counter()
-    for rec in collector.records:
-        record_counts[rec.kind] += 1
-        record_bytes[rec.kind] += rec.length
+    rows = record_rows(collector)
+    kinds = rows[:, _KIND]
+    record_counts: dict[int, int] = {}
+    record_bytes: dict[int, int] = {}
+    for kind in np.unique(kinds).tolist():
+        lengths = rows[kinds == kind, _LENGTH]
+        record_counts[kind] = len(lengths)
+        record_bytes[kind] = int(lengths.sum())
     span_counts: Counter = Counter()
     span_bytes: Counter = Counter()
     for span in collector.span_records:

@@ -3,10 +3,11 @@
 The replay engine's contract (:mod:`repro.replay.engine`) is that a
 closed-loop replay reproduces the source's operation stream record for
 record.  This module measures that contract from the traces themselves:
-a single streaming pass over each generation builds a
-:class:`TraceStats` summary — per-kind counts, read/write size samples,
-sequentiality, open durations, paging share, FastIO share — and a
-:class:`MachineFidelity` diffs the two generations per machine:
+whole-column operations over each generation's (n, 15) record array —
+a collector's staged blocks read in place — build a :class:`TraceStats`
+summary (per-kind counts, read/write size samples, sequentiality, open
+durations, paging share, FastIO share), and a :class:`MachineFidelity`
+diffs the two generations per machine:
 
 * **Exact checks** — per-kind record counts for the core data path
   (:data:`CORE_KINDS`) must match exactly in closed-loop mode; the
@@ -24,10 +25,14 @@ ReplayOutcome` (skips with reasons, divergences, pre-created nodes) is
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional, Union
+
+import numpy as np
 
 from repro.analysis.compare import ks_distance
-from repro.nt.tracing.records import TraceEventKind, TraceRecord
+from repro.analysis.warehouse import record_rows
+from repro.nt.tracing.collector import TraceCollector
+from repro.nt.tracing.records import RECORD_COLUMNS, TraceEventKind
 
 # The core data path whose per-kind counts closed-loop replay must
 # reproduce exactly: open, read and write on both dispatch paths, and the
@@ -42,12 +47,22 @@ CORE_KINDS: tuple[str, ...] = (
     "IRP_CLOSE",
 )
 
-_READ_KINDS = (TraceEventKind.IRP_READ, TraceEventKind.FASTIO_READ)
-_WRITE_KINDS = (TraceEventKind.IRP_WRITE, TraceEventKind.FASTIO_WRITE)
+# Columns of a record row.
+_KIND, _FO_ID, _T_START, _T_END, _IRP_FLAGS, _OFFSET, _LENGTH = (
+    RECORD_COLUMNS.index(name) for name in
+    ("kind", "fo_id", "t_start", "t_end", "irp_flags", "offset", "length"))
+_CREATE = int(TraceEventKind.IRP_CREATE)
+_CLOSE = int(TraceEventKind.IRP_CLOSE)
+_READ_KINDS = (int(TraceEventKind.IRP_READ), int(TraceEventKind.FASTIO_READ))
+_WRITE_KINDS = (int(TraceEventKind.IRP_WRITE),
+                int(TraceEventKind.FASTIO_WRITE))
+# IrpFlags.PAGING_IO | IrpFlags.SYNCHRONOUS_PAGING_IO (TraceRecord.is_paging).
+_PAGING_FLAGS = 0x42
 
 
 class TraceStats:
-    """One generation's workload summary, built in a single record pass."""
+    """One generation's workload summary; every field is a plain Python
+    int, list or Counter, so it prints and serialises as it reads."""
 
     def __init__(self) -> None:
         self.n_records = 0
@@ -62,38 +77,59 @@ class TraceStats:
         self.irp_reads = 0
 
     @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> "TraceStats":
+    def from_rows(cls, rows: np.ndarray) -> "TraceStats":
+        """Summarise an (n, 15) int64 record array in record order.
+
+        Per file object, an IRP_CREATE starts an open and resets the
+        sequential cursor to 0; an IRP_CLOSE ends the latest open that
+        no CLOSE ended yet; a read or write is sequential when it starts
+        where the previous transfer on the file object ended (at 0 after
+        a CREATE).  One stable sort by ``fo_id`` puts each file object's
+        events side by side in record order, so both rules compare each
+        event with its predecessor.  An unknown kind raises
+        ``ValueError``.
+        """
         stats = cls()
-        # fo_id -> next sequential offset, for run detection.
-        cursors: dict[int, int] = {}
-        # fo_id -> CREATE t_start, consumed by the matching CLOSE.
-        open_at: dict[int, int] = {}
-        for rec in records:
-            stats.n_records += 1
-            kind = TraceEventKind(rec.kind)
-            stats.kind_counts[kind.name] += 1
-            if kind == TraceEventKind.IRP_CREATE:
-                open_at[rec.fo_id] = rec.t_start
-                cursors[rec.fo_id] = 0
-            elif kind == TraceEventKind.IRP_CLOSE:
-                started = open_at.pop(rec.fo_id, None)
-                if started is not None:
-                    stats.open_durations.append(rec.t_end - started)
-            elif kind in _READ_KINDS or kind in _WRITE_KINDS:
-                if kind in _READ_KINDS:
-                    stats.read_sizes.append(rec.length)
-                    if rec.is_paging:
-                        stats.paging_reads += 1
-                    if kind == TraceEventKind.FASTIO_READ:
-                        stats.fastio_reads += 1
-                    else:
-                        stats.irp_reads += 1
-                else:
-                    stats.write_sizes.append(rec.length)
-                stats.total_transfers += 1
-                if cursors.get(rec.fo_id) == rec.offset:
-                    stats.sequential_transfers += 1
-                cursors[rec.fo_id] = rec.offset + rec.length
+        kinds = rows[:, _KIND]
+        stats.n_records = len(rows)
+        values, counts = np.unique(kinds, return_counts=True)
+        for value, n in zip(values.tolist(), counts.tolist()):
+            stats.kind_counts[TraceEventKind(value).name] = n
+        stats.irp_reads = stats.kind_counts["IRP_READ"]
+        stats.fastio_reads = stats.kind_counts["FASTIO_READ"]
+        is_read = np.isin(kinds, _READ_KINDS)
+        is_write = np.isin(kinds, _WRITE_KINDS)
+        is_transfer = is_read | is_write
+        stats.read_sizes = rows[is_read, _LENGTH].tolist()
+        stats.write_sizes = rows[is_write, _LENGTH].tolist()
+        stats.total_transfers = len(stats.read_sizes) + len(stats.write_sizes)
+        stats.paging_reads = int(np.count_nonzero(
+            rows[is_read, _IRP_FLAGS] & _PAGING_FLAGS))
+
+        is_create = kinds == _CREATE
+        is_close = kinds == _CLOSE
+        events = np.flatnonzero(is_create | is_close | is_transfer)
+        order = events[np.argsort(rows[events, _FO_ID], kind="stable")]
+        fo_ids = rows[:, _FO_ID]
+        # Opens: a CLOSE whose predecessor among its file object's
+        # CREATEs and CLOSEs is a CREATE, reported in CLOSE order.
+        opens = order[is_create[order] | is_close[order]]
+        before, after = opens[:-1], opens[1:]
+        closed = ((fo_ids[before] == fo_ids[after])
+                  & is_create[before] & is_close[after])
+        ends, starts = after[closed], before[closed]
+        by_close = np.argsort(ends)
+        stats.open_durations = (rows[ends, _T_END]
+                                - rows[starts, _T_START])[by_close].tolist()
+        # Runs: a transfer is sequential when it starts at the cursor its
+        # predecessor among the file object's CREATEs and transfers left.
+        moves = order[~is_close[order]]
+        before, after = moves[:-1], moves[1:]
+        cursor = np.where(is_create[before], 0,
+                          rows[before, _OFFSET] + rows[before, _LENGTH])
+        sequential = ((fo_ids[before] == fo_ids[after]) & is_transfer[after]
+                      & (cursor == rows[after, _OFFSET]))
+        stats.sequential_transfers = int(np.count_nonzero(sequential))
         return stats
 
     # ------------------------------------------------------------------ #
@@ -223,14 +259,21 @@ class MachineFidelity:
         }
 
 
-def machine_fidelity(name: str,
-                     source_records: Iterable[TraceRecord],
-                     replayed_records: Iterable[TraceRecord],
+# One generation of a machine's trace: its collector, read in place, or
+# the summary an earlier report already built from it.
+Generation = Union[TraceCollector, TraceStats]
+
+
+def _summary(generation: Generation) -> TraceStats:
+    if isinstance(generation, TraceStats):
+        return generation
+    return TraceStats.from_rows(record_rows(generation))
+
+
+def machine_fidelity(name: str, source: Generation, replayed: Generation,
                      outcome: Optional[Mapping] = None) -> MachineFidelity:
-    """Diff two record streams (accepts iterators; single pass each)."""
-    return MachineFidelity(name,
-                           TraceStats.from_records(source_records),
-                           TraceStats.from_records(replayed_records),
+    """Diff two generations of one machine's trace."""
+    return MachineFidelity(name, _summary(source), _summary(replayed),
                            outcome)
 
 
@@ -308,8 +351,12 @@ class FidelityReport:
 
 
 def fidelity_report(pairs, mode: str) -> FidelityReport:
-    """Build a report from (name, source records, replayed records,
-    outcome dict or None) tuples."""
+    """Build a report from (name, source, replayed, outcome dict or None)
+    tuples, each generation a collector or its :class:`TraceStats`.
+
+    A report's ``machines[i].source`` can stand in for the same source in
+    a later report, so a sweep summarises each source once.
+    """
     return FidelityReport(
         [machine_fidelity(name, src, rep, outcome)
          for name, src, rep, outcome in pairs], mode)

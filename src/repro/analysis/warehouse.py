@@ -11,13 +11,17 @@ instance table is built once by :mod:`repro.analysis.sessions` and cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.records import TraceEventKind, extension_of
+from repro.nt.tracing.records import (
+    RECORD_COLUMNS,
+    TraceEventKind,
+    extension_of,
+    record_row,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.sessions import Instance
@@ -32,13 +36,7 @@ def pack_id(machine_idx: int, local_id: int) -> int:
     return machine_idx * _MACHINE_STRIDE + local_id
 
 
-# The trace record's fields in TraceRecord order, which is also the order
-# of a staged block's row.
-RECORD_COLUMNS = ("kind", "fo_id", "pid", "t_start", "t_end", "status",
-                  "irp_flags", "offset", "length", "returned", "file_size",
-                  "disposition", "options", "attributes", "info")
 _N_FIELDS = len(RECORD_COLUMNS)
-_record_fields = attrgetter(*RECORD_COLUMNS)
 
 
 def block_rows(block) -> np.ndarray:
@@ -54,7 +52,7 @@ def record_rows(collector: TraceCollector) -> np.ndarray:
     already materialised are converted back field by field.
     """
     records, blocks = collector.record_chunks()
-    parts = [np.array([_record_fields(r) for r in records],
+    parts = [np.array([record_row(r) for r in records],
                       dtype=np.int64).reshape(-1, _N_FIELDS)]
     parts.extend(block_rows(block) for block in blocks)
     return np.concatenate(parts)

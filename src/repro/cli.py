@@ -815,8 +815,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.analysis.fidelity import fidelity_report
     from repro.nt.flight.log import (DEFAULT_METRICS_INTERVAL_SECONDS,
                                      METRICS_FILENAME, write_metrics_log)
-    from repro.nt.tracing.store import (iter_trace_records, save_study,
-                                        study_paths)
+    from repro.nt.tracing.store import load_collector, save_study, study_paths
     from repro.replay import ReplayConfig, replay_archive
 
     config = ReplayConfig(
@@ -825,14 +824,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
                                   if args.metrics else 0.0))
     telemetry = StudyTelemetry() if args.progress else None
     try:
-        source_paths = study_paths(args.traces)
-        result = replay_archive(args.traces, config, telemetry=telemetry)
+        sources = [load_collector(path) for path in study_paths(args.traces)]
+        result = replay_archive(args.traces, config, telemetry=telemetry,
+                                sources=sources)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     report = fidelity_report(
-        [(machine.name, iter_trace_records(path),
-          machine.collector.records, machine.outcome.to_dict())
-         for path, machine in zip(source_paths, result.machines)],
+        [(machine.name, source, machine.collector, machine.outcome.to_dict())
+         for source, machine in zip(sources, result.machines)],
         mode=args.mode)
     print(report.format())
     if args.out is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.nt.io.fastio import FastIoOp
 from repro.nt.io.irp import Irp, IrpMajor, IrpMinor
@@ -226,6 +227,14 @@ class TraceRecord:
     @property
     def is_fastio(self) -> bool:
         return self.kind >= TraceEventKind.FASTIO_CHECK_IF_POSSIBLE
+
+
+# A record row's fields in TraceRecord order, which is also the order of
+# one row of a staged block (repro.nt.tracing.fastbuf).
+RECORD_COLUMNS = TraceRecord.__slots__
+
+# A TraceRecord's fields as one row tuple.
+record_row = attrgetter(*RECORD_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -351,11 +351,11 @@ def iter_trace_records(path: Union[str, Path], kinds=None):
     """Stream a store file's trace records without building the collector.
 
     Decompresses incrementally and yields one :class:`TraceRecord` at a
-    time, so a multi-gigabyte archive can be scanned (fidelity statistics,
-    kind counts) holding only the compressed bytes plus one batch of
-    packed records in memory — the replay CLI uses this for the source
-    side of the fidelity report.  Name records, processes, and snapshots
-    are not materialised.
+    time, so a multi-gigabyte archive can be scanned record by record
+    holding only the compressed bytes plus one batch of packed records in
+    memory.  Name records, processes, and snapshots are not materialised.
+    Replay and its fidelity report no longer use it: they decode each
+    archive once and read its staged record rows in place.
 
     ``kinds`` is an optional predicate pushdown: an iterable of
     :class:`TraceEventKind`/int values.  Records of any other kind are

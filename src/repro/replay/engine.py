@@ -5,10 +5,12 @@ machine the archive describes — volumes reconstructed from the archive's
 snapshot records, remote shares re-mounted from the name records, the
 process table re-registered — and feeds every archived trace record back
 through the IRP/FastIO dispatch paths via the
-:class:`~repro.nt.io.initiator.ReplayInitiator`.  The replay machine runs
-with its trace filter attached, so the run produces a *second-generation*
-trace the fidelity analysis (:mod:`repro.analysis.fidelity`) diffs against
-the source.
+:class:`~repro.nt.io.initiator.ReplayInitiator`.  Records are read as
+rows of the source's staged blocks, never materialised, so the source
+collector is left untouched and one decoded archive can drive any number
+of replays.  The replay machine runs with its trace filter attached, so
+the run produces a *second-generation* trace the fidelity analysis
+(:mod:`repro.analysis.fidelity`) diffs against the source.
 
 Two modes:
 
@@ -34,7 +36,9 @@ source's per-kind operation counts exactly.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from repro.common.clock import ticks_from_seconds
@@ -45,6 +49,8 @@ from repro.nt.fs.volume import Volume
 from repro.nt.io.initiator import ReplayInitiator, ReplayOutcome
 from repro.nt.system import Machine, MachineConfig
 from repro.nt.tracing.collector import TraceCollector
+from repro.nt.tracing.fastbuf import RECORD_FIELDS
+from repro.nt.tracing.records import RECORD_COLUMNS, record_row
 
 # Replay volumes get ample capacity: the source volume's exact fullness is
 # unknowable from the archive (snapshots record sizes, not allocation), and
@@ -52,6 +58,8 @@ from repro.nt.tracing.collector import TraceCollector
 _REPLAY_VOLUME_CAPACITY = 64 * 1024**3
 
 _MODES = ("open", "closed")
+
+_T_START = RECORD_COLUMNS.index("t_start")
 
 
 @dataclass(frozen=True)
@@ -216,6 +224,17 @@ def build_replay_machine(source: TraceCollector, index: int,
     return machine
 
 
+def _record_blocks(source: TraceCollector) -> list[array]:
+    """The source's records as staged blocks, in record order: its own
+    blocks, read in place, after any records analysis already
+    materialised, re-staged into one new block."""
+    records, blocks = source.record_chunks()
+    if not records:
+        return blocks
+    return [array("q", chain.from_iterable(map(record_row, records))),
+            *blocks]
+
+
 def replay_collector(source: TraceCollector, index: int = 0,
                      config: ReplayConfig = ReplayConfig()
                      ) -> ReplayedMachine:
@@ -223,11 +242,13 @@ def replay_collector(source: TraceCollector, index: int = 0,
     machine = build_replay_machine(source, index, config)
     machine.take_snapshots()
     initiator = ReplayInitiator(machine, source, mode=config.mode)
+    inject = initiator.inject
     open_loop = config.mode == "open"
-    for rec in source.records:
-        if open_loop and rec.t_start > machine.clock.now:
-            machine.run_until(rec.t_start)
-        initiator.inject(rec)
+    for block in _record_blocks(source):
+        for base in range(0, len(block), RECORD_FIELDS):
+            if open_loop and block[base + _T_START] > machine.clock.now:
+                machine.run_until(block[base + _T_START])
+            inject(block, base)
     machine.finish_tracing(
         drain_ticks=ticks_from_seconds(config.drain_seconds))
     machine.take_snapshots()

@@ -20,22 +20,26 @@ a device model may move time, never operations.
 
 Cells replay sequentially; within a cell the archive's machines run
 through :func:`repro.replay.runner.replay_archive`, i.e. through the same
-machine driver the study uses, serially or in worker processes.  Reports
-carry no wall clock, so a sweep is byte-identical across reruns and
-across serial vs ``--workers`` execution.
+machine driver the study uses, serially or in worker processes.  The
+sweep decodes each source file once: serial cells replay from those
+decoded sources, worker tasks still read their own file, and the first
+cell's fidelity report summarises each source for every later cell.
+Reports carry no wall clock, so a sweep is byte-identical across reruns
+and across serial vs ``--workers`` execution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.attribution import critical_path_table
-from repro.analysis.fidelity import fidelity_report
+from repro.analysis.fidelity import FidelityReport, fidelity_report
 from repro.nt.perf import LatencyHistogram, merge_snapshots
 from repro.nt.storage.devices import PERSONALITIES
-from repro.nt.tracing.store import iter_trace_records, study_paths
+from repro.nt.tracing.store import load_collector, study_paths
 from repro.replay.engine import ReplayConfig
 from repro.replay.runner import ReplayResult, replay_archive
 from repro.workload.study import StudyTelemetry
@@ -56,8 +60,9 @@ def parse_grid(spec: str) -> dict:
 
     Dimension chunks are separated by ``×`` (or ASCII ``*`` / ``;``),
     values by commas.  Device names must exist in PERSONALITIES; cache
-    sizes are megabytes.  A dimension may be omitted, leaving that axis
-    at the replay default.
+    sizes are positive, finite megabytes.  A dimension may be omitted,
+    leaving that axis at the replay default.  A bad spec raises
+    ``ValueError`` before anything replays.
     """
     dims: dict = {}
     normalized = spec.replace("×", ";").replace("*", ";")
@@ -84,10 +89,22 @@ def parse_grid(spec: str) -> dict:
                         f"one of {sorted(PERSONALITIES)}")
             dims[key] = items
         else:
-            dims[key] = [float(v) for v in items]
+            dims[key] = [_cache_mb(v) for v in items]
     if not dims:
         raise ValueError("empty grid")
     return dims
+
+
+def _cache_mb(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"bad cache_mb value {text!r}; expected a positive, finite "
+            f"size in MB")
+    return value
 
 
 @dataclass(frozen=True)
@@ -132,13 +149,9 @@ def _band(hist_dict: dict, name: str) -> dict:
 
 
 def _cell_report(cell: GridCell, result: ReplayResult,
-                 source_paths: Sequence[Path]) -> dict:
-    """Reduce one cell's ReplayResult to its deterministic report dict."""
-    report = fidelity_report(
-        [(machine.name, iter_trace_records(path), machine.collector.records,
-          machine.outcome.to_dict())
-         for path, machine in zip(source_paths, result.machines)],
-        mode=result.mode)
+                 fidelity: FidelityReport) -> dict:
+    """Reduce one cell's ReplayResult and fidelity report to the cell's
+    deterministic report dict."""
     merged = merge_snapshots(machine.perf for machine in result.machines)
     counters = merged.get("counters", {})
     bands = {name: _band(merged["histograms"][name], name)
@@ -161,11 +174,10 @@ def _cell_report(cell: GridCell, result: ReplayResult,
         "label": cell.label,
         "device": cell.device,
         "cache_mb": cell.cache_mb,
-        "core_match": report.all_core_match,
-        "mismatched_machines": [m.name for m in report.machines
+        "core_match": fidelity.all_core_match,
+        "mismatched_machines": [m.name for m in fidelity.machines
                                 if not m.core_match],
-        "replayed_records": sum(len(m.collector.records)
-                                for m in result.machines),
+        "replayed_records": sum(len(m.collector) for m in result.machines),
         "latency_bands": bands,
         "critical_path": critical_path_table(result.collectors).to_dict(),
         "cache": cache,
@@ -283,7 +295,10 @@ def whatif_sweep(directory: Path | str, grid: dict,
     enabled so the critical-path decomposition sees device time.
     """
     directory = Path(directory)
-    source_paths = study_paths(directory)
+    sources = [load_collector(path) for path in study_paths(directory)]
+    # Each fidelity report's source summaries stand in for the sources
+    # in the next cell's report.
+    summaries: list = sources
     cells = grid_cells(grid)
     reports: list[dict] = []
     for cell in cells:
@@ -291,11 +306,17 @@ def whatif_sweep(directory: Path | str, grid: dict,
             telemetry.emit("whatif-cell-start", cell=cell.label)
         config = replace(base_config, storage=cell.device,
                          cache_mb=cell.cache_mb, spans_enabled=True)
-        result = replay_archive(directory, config, telemetry)
-        reports.append(_cell_report(cell, result, source_paths))
+        result = replay_archive(directory, config, telemetry, sources)
+        fidelity = fidelity_report(
+            [(machine.name, summary, machine.collector,
+              machine.outcome.to_dict())
+             for summary, machine in zip(summaries, result.machines)],
+            mode=result.mode)
+        summaries = [machine.source for machine in fidelity.machines]
+        reports.append(_cell_report(cell, result, fidelity))
         if telemetry is not None:
             telemetry.emit("whatif-cell-done", cell=cell.label,
                            core_match=reports[-1]["core_match"])
     return WhatifReport(grid=grid, cells=reports,
-                        n_machines=len(source_paths),
+                        n_machines=len(sources),
                         mode=base_config.mode)

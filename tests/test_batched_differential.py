@@ -22,6 +22,12 @@ off IRP reuse on a declined FastIO call, so the plain run is the only one
 that exercises reuse.  ``repro run --out`` writes each machine's archive
 as soon as the machine finishes, serially or in its worker process; the
 files it writes and its ``perf.json`` decode to the same goldens.
+
+The replay goldens pin whole reports, not only the deterministic block
+that ``BENCH_whatif.json`` compares: the ``repro replay --fidelity-json``
+document (KS distances, sequential, paging and FastIO fractions, open
+counts) and the full ``repro whatif --json`` report (critical-path
+table included) of one small archive, serially and with ``--workers 2``.
 """
 
 from __future__ import annotations
@@ -183,3 +189,43 @@ def test_run_out_archives_match_golden(tmp_path, workers):
     assert archives == GOLDEN[seed]["archives"]
     perf = load_perf_json(out / "perf.json")["machines"]
     assert _sha256([perf_json_bytes(perf)]) == GOLDEN[seed]["perf_json"]
+
+
+# `repro run --machines 2 --seconds 20 --seed 3` replayed with --seed 3.
+REPLAY_SEED = 3
+WHATIF_GRID = "devices=hdd_ide,ssd×cache_mb=4"
+REPLAY_GOLDEN = {
+    "fidelity_json": "6120e04ae915d3be4ab078ae0ff17357"
+                     "455a9a1d8b25acfd515bbdbf883da17b",
+    "whatif_json": "4cd5b6dd22be9ca2357b9083f64c3125"
+                   "e8bbbbc6a827ecf06e9beda130b04200",
+}
+
+
+@pytest.fixture(scope="module")
+def replay_archive_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("replay-golden") / "traces"
+    assert cli_main(["run", "--machines", "2", "--seconds", "20",
+                     "--seed", str(REPLAY_SEED), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]],
+                         ids=["serial", "workers2"])
+def test_replay_fidelity_json_matches_golden(replay_archive_dir, tmp_path,
+                                             workers):
+    path = tmp_path / "fidelity.json"
+    assert cli_main(["replay", "--traces", str(replay_archive_dir),
+                     "--seed", str(REPLAY_SEED), "--fidelity-json",
+                     str(path), *workers]) == 0
+    assert _sha256([path.read_bytes()]) == REPLAY_GOLDEN["fidelity_json"]
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]],
+                         ids=["serial", "workers2"])
+def test_whatif_json_matches_golden(replay_archive_dir, tmp_path, workers):
+    path = tmp_path / "whatif.json"
+    assert cli_main(["whatif", "--traces", str(replay_archive_dir),
+                     "--seed", str(REPLAY_SEED), "--grid", WHATIF_GRID,
+                     "--json", str(path), *workers]) == 0
+    assert _sha256([path.read_bytes()]) == REPLAY_GOLDEN["whatif_json"]

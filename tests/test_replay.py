@@ -14,27 +14,44 @@ harness in ``test_parallel_study.py``:
 * **Plumbing** — open-loop mode honors archived start times, the CLI
   round-trips a study through ``repro replay``, and malformed inputs
   fail with named errors.
+
+The fidelity summary is built from record columns; the per-record
+summary it replaced is kept below as the reference, and generated and
+hand-picked traces must give the reference's summary field by field.
+``repro replay`` decodes each source file once and builds no record
+objects.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import StudyConfig, run_study
 from repro.analysis.fidelity import (CORE_KINDS, TraceStats, fidelity_report,
                                      machine_fidelity)
+from repro.analysis.warehouse import block_rows, record_rows
 from repro.cli import main as cli_main
+from repro.nt.tracing import collector as collector_module
+from repro.nt.tracing import fastbuf, store
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.records import TraceEventKind, TraceRecord
 from repro.nt.tracing.store import (
+    StoreStream,
     iter_trace_records,
     load_collector,
     pack_collector,
     save_study,
     study_paths)
 from repro.replay import ReplayConfig, replay_archive, replay_collector
+
+K = TraceEventKind
 
 
 def _study_archive(tmp_path_factory, seed: int = 5):
@@ -67,8 +84,7 @@ class TestClosedLoopFidelity:
 
     def test_core_kind_counts_exact(self, archived_study, closed_replay):
         result, _directory = archived_study
-        pairs = [(m.name, src.records, m.collector.records,
-                  m.outcome.to_dict())
+        pairs = [(m.name, src, m.collector, m.outcome.to_dict())
                  for src, m in zip(result.collectors, closed_replay.machines)]
         report = fidelity_report(pairs, mode="closed")
         assert report.all_core_match
@@ -84,16 +100,16 @@ class TestClosedLoopFidelity:
         # quiesced, *every* kind's count should reproduce.
         result, _directory = archived_study
         for source, machine in zip(result.collectors, closed_replay.machines):
-            fidelity = machine_fidelity(machine.name, source.records,
-                                        machine.collector.records)
+            fidelity = machine_fidelity(machine.name, source,
+                                        machine.collector)
             assert fidelity.kind_deltas == {}
 
     def test_size_distributions_identical(self, archived_study,
                                           closed_replay):
         result, _directory = archived_study
         for source, machine in zip(result.collectors, closed_replay.machines):
-            fidelity = machine_fidelity(machine.name, source.records,
-                                        machine.collector.records)
+            fidelity = machine_fidelity(machine.name, source,
+                                        machine.collector)
             assert fidelity.read_size_ks == 0.0
             assert fidelity.write_size_ks == 0.0
             assert fidelity.source.sequential_fraction == \
@@ -191,8 +207,8 @@ class TestUnreplayableRecords:
         assert outcome.skipped["IRP_CREATE"]["no name record"] == 1
         assert outcome.skipped["IRP_READ"]["no file object mapping"] == 1
         report = fidelity_report(
-            [(machine.name, source.records, machine.collector.records,
-              outcome.to_dict())], mode="closed")
+            [(machine.name, source, machine.collector, outcome.to_dict())],
+            mode="closed")
         assert not report.all_core_match
         assert report.total_skipped == 2
         assert "unreplayable IRP_CREATE: 1 (no name record)" in \
@@ -237,23 +253,265 @@ class TestReplayCli:
             cli_main(["replay", "--traces", str(tmp_path)])
 
 
+# --------------------------------------------------------------------- #
+# Reading each source once.
+
+def _count_calls(monkeypatch, fn) -> Counter:
+    """Route every ``repro`` module's binding of ``fn`` through a wrapper
+    that counts calls by first argument."""
+    calls: Counter = Counter()
+
+    def counting(path, *args, **kwargs):
+        calls[str(path)] += 1
+        return fn(path, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def forbid_record_objects(monkeypatch) -> Counter:
+    """Make building record objects fail, and count archive decodes."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("replay built TraceRecord objects")
+
+    monkeypatch.setattr(fastbuf, "records_from_block", refuse)
+    monkeypatch.setattr(collector_module, "records_from_block", refuse)
+    monkeypatch.setattr(StoreStream, "records", refuse)
+    return _count_calls(monkeypatch, store.load_collector)
+
+
+class TestReadOnce:
+    def test_replay_cli_decodes_each_source_once(self, archived_study,
+                                                  tmp_path, monkeypatch):
+        _result, directory = archived_study
+        fidelity_path = tmp_path / "fidelity.json"
+        loads = forbid_record_objects(monkeypatch)
+        code = cli_main(["replay", "--traces", str(directory),
+                         "--seed", "5", "--out", str(tmp_path / "gen"),
+                         "--fidelity-json", str(fidelity_path)])
+        assert code == 0
+        assert loads == Counter(str(p) for p in study_paths(directory))
+        doc = json.loads(fidelity_path.read_text())
+        assert doc["all_core_match"] is True
+        for machine in doc["machines"]:
+            assert machine["source"] == machine["replayed"]
+
+
+# --------------------------------------------------------------------- #
+# The columnar summary against the record-at-a-time reference.
+
+_READ_KINDS = (K.IRP_READ, K.FASTIO_READ)
+_WRITE_KINDS = (K.IRP_WRITE, K.FASTIO_WRITE)
+
+
+def reference_stats(records) -> TraceStats:
+    """The summary as one pass over TraceRecords once built it."""
+    stats = TraceStats()
+    # fo_id -> next sequential offset, for run detection.
+    cursors: dict[int, int] = {}
+    # fo_id -> CREATE t_start, consumed by the matching CLOSE.
+    open_at: dict[int, int] = {}
+    for rec in records:
+        stats.n_records += 1
+        kind = TraceEventKind(rec.kind)
+        stats.kind_counts[kind.name] += 1
+        if kind == K.IRP_CREATE:
+            open_at[rec.fo_id] = rec.t_start
+            cursors[rec.fo_id] = 0
+        elif kind == K.IRP_CLOSE:
+            started = open_at.pop(rec.fo_id, None)
+            if started is not None:
+                stats.open_durations.append(rec.t_end - started)
+        elif kind in _READ_KINDS or kind in _WRITE_KINDS:
+            if kind in _READ_KINDS:
+                stats.read_sizes.append(rec.length)
+                if rec.is_paging:
+                    stats.paging_reads += 1
+                if kind == K.FASTIO_READ:
+                    stats.fastio_reads += 1
+                else:
+                    stats.irp_reads += 1
+            else:
+                stats.write_sizes.append(rec.length)
+            stats.total_transfers += 1
+            if cursors.get(rec.fo_id) == rec.offset:
+                stats.sequential_transfers += 1
+            cursors[rec.fo_id] = rec.offset + rec.length
+    return stats
+
+
+def _row(kind, fo_id=1, t_start=0, duration=10, irp_flags=0, offset=0,
+         length=512) -> tuple:
+    return (int(kind), fo_id, 8, t_start, t_start + duration, 0, irp_flags,
+            offset, length, length, 4096, 1, 0, 0, 0)
+
+
+def _collector(rows, staged_from: int = 0) -> TraceCollector:
+    """A collector holding ``rows``: the first ``staged_from`` rows are
+    materialised as records, the rest stay staged."""
+    collector = TraceCollector("m00-oracle")
+    materialised, staged = rows[:staged_from], rows[staged_from:]
+    if materialised:
+        collector.receive_block(array("q", (f for row in materialised
+                                            for f in row)))
+        assert len(collector.records) == staged_from
+    if staged:
+        collector.receive_block(array("q", (f for row in staged
+                                            for f in row)))
+    return collector
+
+
+def _plain(value) -> bool:
+    if isinstance(value, (list, Counter)):
+        items = value.values() if isinstance(value, Counter) else value
+        return all(type(item) is int for item in items)
+    return type(value) is int
+
+
+def check_stats(rows, staged_from: int = 0) -> TraceStats:
+    """The columnar summary of ``rows`` equals the reference's field by
+    field, holds only plain Python values, and leaves the collector's
+    staged blocks in place."""
+    want = reference_stats(TraceRecord(*row) for row in rows)
+    collector = _collector(rows, staged_from)
+    got = machine_fidelity("m00-oracle", collector, collector).source
+    assert vars(got) == vars(want)
+    assert all(_plain(value) for value in vars(got).values()), vars(got)
+    json.dumps(got.to_dict())
+    assert len(collector.record_chunks()[0]) == staged_from
+    return got
+
+
+OFFSETS = (0, 512, 1024, 4096)
+rows_strategy = st.lists(st.builds(
+    _row,
+    kind=st.sampled_from((K.IRP_CREATE, K.IRP_CLOSE, K.IRP_CLOSE,
+                          K.IRP_READ, K.IRP_WRITE, K.FASTIO_READ,
+                          K.FASTIO_WRITE, K.IRP_CLEANUP,
+                          K.IRP_QUERY_INFORMATION)),
+    fo_id=st.integers(0, 4),
+    t_start=st.integers(0, 10**9),
+    duration=st.integers(0, 10**6),
+    irp_flags=st.sampled_from((0, 0x2, 0x40, 0x42, 0x400)),
+    # Few offsets and lengths, so sequential runs are common.
+    offset=st.one_of(st.sampled_from(OFFSETS), st.integers(0, 2**40)),
+    length=st.one_of(st.sampled_from((0, 512)), st.integers(0, 2**24))),
+    max_size=60)
+traces = rows_strategy.flatmap(
+    lambda rows: st.tuples(st.just(rows), st.integers(0, len(rows))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace=traces)
+@example(trace=([], 0))
+def test_columnar_stats_match_record_at_a_time_reference(trace):
+    rows, staged_from = trace
+    check_stats(rows, staged_from)
+
+
 class TestTraceStats:
     def test_streaming_matches_in_memory(self, archived_study):
-        # TraceStats over the store's streaming iterator must equal stats
-        # over the in-memory records — the CLI uses the streaming path.
+        # The summary of an archive's record block, decoded whole, must
+        # equal the reference over the store's streaming iterator.
         result, directory = archived_study
         for source, path in zip(result.collectors, study_paths(directory)):
-            streamed = TraceStats.from_records(iter_trace_records(path))
-            in_memory = TraceStats.from_records(source.records)
-            assert streamed.to_dict() == in_memory.to_dict()
+            decoded = TraceStats.from_rows(
+                block_rows(StoreStream(path).record_block()))
+            streamed = reference_stats(iter_trace_records(path))
+            assert vars(decoded) == vars(streamed)
+            assert decoded.to_dict() == \
+                TraceStats.from_rows(record_rows(source)).to_dict()
 
     def test_detects_count_mismatch(self):
-        rec = TraceRecord(kind=int(TraceEventKind.IRP_READ), fo_id=1, pid=8,
-                          t_start=0, t_end=5, status=0, irp_flags=0,
-                          offset=0, length=4096, returned=4096,
-                          file_size=4096, disposition=0, options=0,
-                          attributes=0, info=0)
-        fidelity = machine_fidelity("m", [rec, rec], [rec])
+        rec = _row(K.IRP_READ, length=4096)
+        fidelity = machine_fidelity("m", _collector([rec, rec]),
+                                    _collector([rec]))
         assert not fidelity.core_match
         assert fidelity.core_mismatches == {"IRP_READ": -1}
         assert fidelity.count_delta("IRP_READ") == -1
+
+    def test_second_create_before_close(self):
+        # The second CREATE restarts the open; the CLOSE ends that one.
+        stats = check_stats([_row(K.IRP_CREATE, t_start=0),
+                             _row(K.IRP_CREATE, t_start=100),
+                             _row(K.IRP_CLOSE, t_start=200, duration=5)])
+        assert stats.open_durations == [105]
+
+    def test_close_without_create(self):
+        stats = check_stats([_row(K.IRP_CLOSE, fo_id=3),
+                             _row(K.IRP_CREATE, fo_id=4, t_start=50),
+                             _row(K.IRP_CLOSE, fo_id=4, t_start=60)])
+        assert stats.open_durations == [20]
+
+    def test_double_close(self):
+        stats = check_stats([_row(K.IRP_CREATE, t_start=0),
+                             _row(K.IRP_CLOSE, t_start=30),
+                             _row(K.IRP_CLOSE, t_start=90)])
+        assert stats.open_durations == [40]
+
+    def test_transfers_before_any_create(self):
+        # No cursor yet, so even a transfer at offset 0 is not sequential;
+        # the one that follows it on is.
+        stats = check_stats([_row(K.IRP_READ, offset=0, length=512),
+                             _row(K.IRP_READ, offset=512, length=512),
+                             _row(K.IRP_CREATE),
+                             _row(K.IRP_WRITE, offset=0, length=100)])
+        assert (stats.sequential_transfers, stats.total_transfers) == (2, 3)
+
+    def test_zero_length_transfers(self):
+        stats = check_stats([_row(K.IRP_CREATE),
+                             _row(K.FASTIO_READ, offset=0, length=0),
+                             _row(K.FASTIO_READ, offset=0, length=0),
+                             _row(K.IRP_WRITE, offset=0, length=0)])
+        assert stats.sequential_transfers == 3
+        assert stats.read_sizes == [0, 0] and stats.write_sizes == [0]
+
+    @pytest.mark.parametrize("flag", [0x02, 0x40])
+    def test_each_paging_bit_alone(self, flag):
+        stats = check_stats([_row(K.IRP_READ, irp_flags=flag),
+                             _row(K.IRP_READ, irp_flags=0x400),
+                             _row(K.IRP_WRITE, irp_flags=flag)])
+        assert stats.paging_reads == 1
+        assert stats.paging_read_fraction == 0.5
+
+    def test_interleaved_file_objects(self):
+        rows = [_row(K.IRP_CREATE, fo_id=1, t_start=0),
+                _row(K.IRP_CREATE, fo_id=2, t_start=1),
+                _row(K.IRP_READ, fo_id=1, offset=0, length=512),
+                _row(K.IRP_READ, fo_id=2, offset=4096, length=512),
+                _row(K.IRP_READ, fo_id=1, offset=512, length=512),
+                _row(K.IRP_READ, fo_id=2, offset=0, length=512),
+                _row(K.IRP_CLOSE, fo_id=2, t_start=70, duration=0),
+                _row(K.IRP_CLOSE, fo_id=1, t_start=80, duration=0)]
+        stats = check_stats(rows)
+        assert stats.sequential_transfers == 2
+        # Reported in CLOSE order, not file-object order.
+        assert stats.open_durations == [69, 80]
+
+    def test_empty_trace(self):
+        stats = check_stats([])
+        assert stats.n_records == 0
+        assert stats.to_dict()["kind_counts"] == {}
+        assert stats.sequential_fraction != stats.sequential_fraction
+
+    def test_partly_materialised_collector(self):
+        rows = [_row(K.IRP_CREATE, fo_id=1),
+                _row(K.IRP_WRITE, fo_id=1, offset=0),
+                _row(K.IRP_CREATE, fo_id=2, t_start=5),
+                _row(K.IRP_WRITE, fo_id=1, offset=512),
+                _row(K.FASTIO_READ, fo_id=2, offset=0, irp_flags=0x40),
+                _row(K.IRP_CLOSE, fo_id=1, t_start=20),
+                _row(K.IRP_CLOSE, fo_id=2, t_start=30)]
+        for staged_from in range(len(rows) + 1):
+            check_stats(rows, staged_from)
+
+    def test_unknown_kind_raises(self):
+        rows = np.array([_row(K.IRP_CREATE), _row(99)], dtype=np.int64)
+        with pytest.raises(ValueError, match="99"):
+            TraceStats.from_rows(rows)
+        with pytest.raises(ValueError, match="99"):
+            reference_stats(TraceRecord(*row) for row in rows.tolist())

@@ -2,6 +2,7 @@
 causes, exact reconciliation with the trace store, serial-vs-parallel
 identity, Chrome export, and the CLI surface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -23,7 +24,8 @@ from repro.nt.tracing.spans import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.nt.tracing.store import pack_collector, save_study
+from repro.nt.tracing.store import (pack_collector, save_study,
+                                    unpack_collector)
 
 from tests.conftest import make_file
 
@@ -169,6 +171,41 @@ class TestReconciliation:
         for collector in study_on.collectors:
             assert reconcile_attribution(collector) == {}, \
                 collector.machine_name
+
+    def test_mismatch_names_each_kind_with_both_sides(self, study_on):
+        # Drop one recorded CREATE span and inflate one recorded READ
+        # span's bytes: exactly those two kinds are reported, with the
+        # record side computed from the trace records themselves.
+        collector = unpack_collector(pack_collector(study_on.collectors[0]))
+        records = collector.records
+        spans = collector.span_records
+
+        def first(kind):
+            return next(i for i, s in enumerate(spans)
+                        if s.recorded and s.op == kind)
+
+        read = first(TraceEventKind.IRP_READ)
+        spans[read] = dataclasses.replace(spans[read],
+                                          nbytes=spans[read].nbytes + 7)
+        dropped = spans.pop(first(TraceEventKind.IRP_CREATE))
+        fresh = unpack_collector(pack_collector(collector))
+
+        def side(kind):
+            mine = [r for r in records if r.kind == kind]
+            return (len(mine), sum(r.length for r in mine))
+
+        n_reads, read_bytes = side(TraceEventKind.IRP_READ)
+        n_creates, create_bytes = side(TraceEventKind.IRP_CREATE)
+        problems = reconcile_attribution(fresh)
+        assert problems == {
+            "IRP_CREATE": {"records": (n_creates, create_bytes),
+                           "spans": (n_creates - 1,
+                                     create_bytes - dropped.nbytes)},
+            "IRP_READ": {"records": (n_reads, read_bytes),
+                         "spans": (n_reads, read_bytes + 7)},
+        }
+        assert all(type(value) is int for sides in problems.values()
+                   for pair in sides.values() for value in pair)
 
     def test_attribution_totals_match_record_stream(self, study_on):
         table = attribution_table(study_on.collectors)

@@ -2,11 +2,14 @@
 
 Three layers, mirroring ``test_replay.py``:
 
-* **Grid plumbing** — spec parsing, cell enumeration, CLI errors.
+* **Grid plumbing** — spec parsing, cell enumeration, CLI errors; a bad
+  cache size is refused before anything replays.
 * **Determinism** — the same sweep twice is byte-identical, and the
   ``--workers`` process-pool fan-out produces the same report bytes as
   the serial loop (which also pins down per-device queue ordering:
-  queue state is rebuilt identically wherever the machine replays).
+  queue state is rebuilt identically wherever the machine replays).  A
+  serial sweep decodes each source file once and builds no record
+  objects.
 * **Physics** — swapping the device personality moves request latency
   and the critical path's device share without changing a single
   operation count, and the machine without a storage layer keeps the
@@ -17,6 +20,10 @@ Three layers, mirroring ``test_replay.py``:
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +31,7 @@ from repro import StudyConfig, run_study
 from repro.cli import main as cli_main
 from repro.nt.fs.volume import Volume
 from repro.nt.system import Machine, MachineConfig
-from repro.nt.tracing.store import pack_collector, save_study
+from repro.nt.tracing.store import pack_collector, save_study, study_paths
 from repro.replay import ReplayConfig, replay_archive
 from repro.replay.whatif import (
     GridCell,
@@ -32,6 +39,9 @@ from repro.replay.whatif import (
     parse_grid,
     whatif_sweep,
 )
+from tests.test_replay import forbid_record_objects
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +92,33 @@ class TestGridParsing:
         with pytest.raises(ValueError, match="no values"):
             parse_grid("devices=")
 
+    @pytest.mark.parametrize(
+        "size", ["abc", "inf", "-inf", "nan", "1e400", "0", "-1", "-0"])
+    def test_bad_cache_size_rejected_before_any_cell(self, size):
+        # Non-numeric, non-finite and non-positive sizes: the whole spec
+        # is refused, so the good 4 MB cell never replays first.
+        with pytest.raises(ValueError, match=f"bad cache_mb value '{size}'"):
+            parse_grid(f"devices=ssd×cache_mb=4,{size}")
+        with pytest.raises(ValueError, match=f"bad cache_mb value '{size}'"):
+            parse_grid(f"cache_mb={size}")
+
 
 class TestSweep:
+    GRID = "devices=hdd_ide,ssd×cache_mb=0.25,64"
+
     @pytest.fixture(scope="class")
     def report(self, archive):
-        return whatif_sweep(
-            archive, parse_grid("devices=hdd_ide,ssd×cache_mb=0.25,64"),
-            ReplayConfig(seed=11))
+        return whatif_sweep(archive, parse_grid(self.GRID),
+                            ReplayConfig(seed=11))
+
+    def test_serial_sweep_decodes_each_source_once(self, archive, report,
+                                                   monkeypatch):
+        # Every cell replays the same decoded sources, read in place.
+        loads = forbid_record_objects(monkeypatch)
+        again = whatif_sweep(archive, parse_grid(self.GRID),
+                             ReplayConfig(seed=11))
+        assert loads == Counter(str(p) for p in study_paths(archive))
+        assert again.to_dict() == report.to_dict()
 
     def test_core_counts_exact_in_every_cell(self, report):
         assert report.all_core_match
@@ -145,6 +175,7 @@ class TestDeterminism:
     def test_workers_fanout_is_byte_identical_to_serial(self, archive):
         assert (self._report_bytes(archive, None)
                 == self._report_bytes(archive, 2))
+
 
 
 class TestSeedPathParity:
@@ -207,3 +238,17 @@ class TestCli:
         with pytest.raises(SystemExit, match="unknown storage personality"):
             cli_main(["whatif", "--traces", str(archive),
                       "--grid", "devices=zip_drive"])
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]],
+                             ids=["serial", "workers2"])
+    def test_infinite_cache_size_exits_without_traceback(self, archive,
+                                                         workers):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "whatif", "--traces",
+             str(archive), "--grid", "cache_mb=inf", *workers],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+        assert proc.returncode != 0
+        assert "bad cache_mb value 'inf'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
