@@ -10,38 +10,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import StudyConfig, StudyTelemetry, TraceWarehouse, run_study
+from repro import StudyConfig, TraceWarehouse, run_study
 
 BENCH_SEED = 1999  # SOSP'99
-
-# Silent wall-clock self-profiling of the shared fixtures; the timings are
-# printed once at the end of the benchmark session.
-_TELEMETRY = StudyTelemetry(verbose=False)
 
 
 @pytest.fixture(scope="session")
 def study():
     """The benchmark study: 8 machines, 3 simulated minutes each."""
-    with _TELEMETRY.phase("simulate"):
-        return run_study(StudyConfig(n_machines=8, duration_seconds=180,
-                                     seed=BENCH_SEED, content_scale=0.12),
-                         telemetry=_TELEMETRY)
+    return run_study(StudyConfig(n_machines=8, duration_seconds=180,
+                                 seed=BENCH_SEED, content_scale=0.12))
 
 
 @pytest.fixture(scope="session")
 def warehouse(study):
-    with _TELEMETRY.phase("warehouse"):
-        wh = TraceWarehouse.from_study(study)
-        # Build the instance table once, outside any timed region.
-        _ = wh.instances
+    wh = TraceWarehouse.from_study(study)
+    # Build the instance table once, outside any timed region.
+    _ = wh.instances
     return wh
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if _TELEMETRY.phase_seconds:
-        print("\nShared-fixture wall clock:")
-        for name, seconds in sorted(_TELEMETRY.phase_seconds.items()):
-            print(f"  {name:<12} {seconds:8.3f} s")
 
 
 @pytest.fixture(scope="session")

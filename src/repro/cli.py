@@ -41,21 +41,31 @@ across a storage-device × cache-size grid and prints a deterministic
 comparison report (latency bands, critical-path decomposition with
 device time split out, cache hit deltas), failing if any cell's
 closed-loop core counts diverge; ``spans`` works on the causal span
-logs of a ``--spans`` archive — Chrome trace-event export, the
-induced-I/O attribution tables, and the tracing-overhead benchmark;
-``verify`` runs the Driver-Verifier-style static analysis over the
-source tree and fails on any finding the committed baseline does not
-justify.
+logs of a ``--spans`` archive — Chrome trace-event export and the
+induced-I/O attribution tables; ``verify`` runs the Driver-Verifier-style
+static analysis over the source tree and fails on any finding the
+committed baseline does not justify.
+
+The simulation scope (``repro.nt``, ``repro.workload``, ``repro.replay``)
+reads no host clock.  The wall-clock figures of ``repro study``
+(records/sec, ETA, ``--bench-json``) and ``repro perf`` (pipeline phases)
+are measured here, around it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+from repro.analysis.streaming import StatsSketch
+from repro.workload.campaign import CampaignConsole
 
 
 def _workers_argument(value: str) -> int:
@@ -70,6 +80,30 @@ def _workers_argument(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1 (or 'auto')")
     return n
+
+
+def _fleet_argument(kind: type, most: float = math.inf):
+    """The argparse type of a fleet-shape flag (``--machines``,
+    ``--seconds``, ``--weeks``, ``--scale``): a finite ``kind`` above
+    zero and at most ``most``."""
+    expected = ("an integer" if kind is int else "a finite number") + (
+        f" in (0, {most:g}]" if most < math.inf else " > 0")
+
+    def parse(value: str):
+        try:
+            x = kind(value)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and 0 < x <= most):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {value!r}")
+        return x
+    return parse
+
+
+_machines_argument = _fleet_argument(int)
+_duration_argument = _fleet_argument(float)
+_scale_argument = _fleet_argument(float, most=1.0)
 
 
 def _add_workers_option(parser: argparse.ArgumentParser) -> None:
@@ -88,10 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a trace-collection study")
-    run.add_argument("--machines", type=int, default=6)
-    run.add_argument("--seconds", type=float, default=120.0)
+    run.add_argument("--machines", type=_machines_argument, default=6)
+    run.add_argument("--seconds", type=_duration_argument, default=120.0)
     run.add_argument("--seed", type=int, default=1998)
-    run.add_argument("--scale", type=float, default=0.12)
+    run.add_argument("--scale", type=_scale_argument, default=0.12)
     run.add_argument("--out", type=Path, default=None,
                      help="directory for the .nttrace archive")
     run.add_argument("--perf", action="store_true",
@@ -115,15 +149,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     study = sub.add_parser(
         "study", help="run a paper-scale streaming campaign on one box")
-    study.add_argument("--machines", type=int, default=45,
+    study.add_argument("--machines", type=_machines_argument, default=45,
                        help="fleet size (the paper traced 45)")
-    study.add_argument("--weeks", type=float, default=None,
+    study.add_argument("--weeks", type=_duration_argument, default=None,
                        help="simulated duration in weeks (the paper's 4);"
                             " overrides --seconds")
-    study.add_argument("--seconds", type=float, default=60.0,
+    study.add_argument("--seconds", type=_duration_argument, default=60.0,
                        help="simulated duration in seconds (default 60)")
     study.add_argument("--seed", type=int, default=1998)
-    study.add_argument("--scale", type=float, default=0.12)
+    study.add_argument("--scale", type=_scale_argument, default=0.12)
     study.add_argument("--out", type=Path, default=None,
                        help="write the deterministic nt-study-1 artifact"
                             " here (a .json path, or a directory that"
@@ -169,6 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="with --streaming: also materialize the"
                              " warehouse and verify the streaming sketch"
                              " matches it exactly")
+    report.set_defaults(usage_error=report.error)
     _add_workers_option(report)
 
     figures = sub.add_parser("figures", help="export figure data as CSV")
@@ -186,10 +221,10 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("traces", type=Path, nargs="?", default=None,
                       help="archive directory holding a perf.json"
                            " (default: run a fresh study)")
-    perf.add_argument("--machines", type=int, default=2)
-    perf.add_argument("--seconds", type=float, default=30.0)
+    perf.add_argument("--machines", type=_machines_argument, default=2)
+    perf.add_argument("--seconds", type=_duration_argument, default=30.0)
     perf.add_argument("--seed", type=int, default=1998)
-    perf.add_argument("--scale", type=float, default=0.12)
+    perf.add_argument("--scale", type=_scale_argument, default=0.12)
     perf.add_argument("--json", type=Path, default=None,
                       help="write the per-machine perf.json here")
     perf.add_argument("--bench-json", type=Path, default=None,
@@ -267,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_workers_option(whatif)
 
     spans = sub.add_parser(
-        "spans", help="causal span tooling (export, attribution, bench)")
+        "spans", help="causal span tooling (export, attribution)")
     spans_sub = spans.add_subparsers(dest="spans_command", required=True)
 
     export = spans_sub.add_parser(
@@ -287,16 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   " with --spans")
     attribution.add_argument("--json", type=Path, default=None,
                              help="also write the tables as JSON here")
-
-    bench = spans_sub.add_parser(
-        "bench", help="measure span-tracing overhead (spans off vs on)")
-    bench.add_argument("--machines", type=int, default=2)
-    bench.add_argument("--seconds", type=float, default=30.0)
-    bench.add_argument("--seed", type=int, default=1998)
-    bench.add_argument("--scale", type=float, default=0.12)
-    bench.add_argument("--json", type=Path, default=None,
-                       help="write the overhead baseline here (the CI"
-                            " BENCH_spans baseline)")
 
     verify = sub.add_parser(
         "verify", help="run the Driver-Verifier-style static analysis")
@@ -408,17 +433,77 @@ def _study_meta(args: argparse.Namespace) -> dict:
             "seed": args.seed, "scale": args.scale}
 
 
+def _fmt_eta(seconds: float) -> str:
+    seconds = max(0, int(round(seconds)))
+    if seconds < 60:
+        return f"{seconds}s"
+    minutes, secs = divmod(seconds, 60)
+    if minutes < 60:
+        return f"{minutes}m{secs:02d}s"
+    hours, minutes = divmod(minutes, 60)
+    return f"{hours}h{minutes:02d}m"
+
+
+class _StudyConsole(CampaignConsole):
+    """``repro study``'s live console: the campaign's fold counts and
+    events, rendered one line per machine with records/sec and an ETA
+    read from the host clock, then a done line::
+
+        [study  12/100] m11-personal      15,023 rec   52,001 rec/s  queue^7  dirty^412  eta 38s
+    """
+
+    def __init__(self, n_machines: int, quiet: bool = False) -> None:
+        super().__init__(n_machines, quiet=quiet)
+        self._started = time.perf_counter()
+
+    def _say(self, line: str) -> None:
+        if not self.quiet:
+            with self._lock:
+                self.stream.write(line + "\n")
+                self.stream.flush()
+
+    def machine_folded(self, index: int, name: str, records: int,
+                       queue_peak: int, dirty_peak: int) -> None:
+        super().machine_folded(index, name, records, queue_peak, dirty_peak)
+        elapsed = time.perf_counter() - self._started
+        rate = self.records_folded / elapsed if elapsed > 0 else 0.0
+        eta = elapsed / self.n_folded * (self.n_machines - self.n_folded)
+        self._say(
+            f"[study {self.n_folded:3d}/{self.n_machines}] {name:<20} "
+            f"{records:>10,} rec {rate:>10,.0f} rec/s  "
+            f"queue^{queue_peak} dirty^{dirty_peak}  eta {_fmt_eta(eta)}")
+
+    def campaign_done(self, sketch: StatsSketch,
+                      wall_seconds: float) -> None:
+        self.emit("campaign-done", machines=sketch.n_machines,
+                  records=sketch.n_records)
+        rate = sketch.n_records / wall_seconds if wall_seconds else 0.0
+        self._say(
+            f"[study done] {sketch.n_machines} machines  "
+            f"{sketch.n_records:,} records  "
+            f"{sketch.n_instances:,} instances  "
+            f"{rate:,.0f} rec/s  wall {_fmt_eta(wall_seconds)}")
+
+
+@contextmanager
+def timed_phase(phases: dict[str, float], name: str) -> Iterator[None]:
+    """Add the host seconds the block takes to ``phases[name]``."""
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] = phases.get(name, 0.0) + time.perf_counter() - started
+
+
 def cmd_study(args: argparse.Namespace) -> int:
     import json
-    import time
     import tracemalloc
 
     from repro import StudyConfig
     from repro.analysis.streaming import (format_streaming_report,
                                           reconcile_sketch)
-    from repro.workload.campaign import (ARTIFACT_FILENAME, CampaignConsole,
-                                         bench_payload, run_campaign,
-                                         study_artifact_bytes)
+    from repro.workload.campaign import (ARTIFACT_FILENAME, bench_payload,
+                                         run_campaign, study_artifact_bytes)
 
     seconds = args.seconds
     if args.weeks is not None:
@@ -426,7 +511,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     config = StudyConfig(
         n_machines=args.machines, duration_seconds=seconds,
         seed=args.seed, content_scale=args.scale, workers=args.workers)
-    console = CampaignConsole(args.machines, quiet=args.quiet)
+    console = _StudyConsole(args.machines, quiet=args.quiet)
     # Only the memory gate traces allocations: tracemalloc slows the
     # campaign several times over, so --bench-json alone times it untraced.
     gate_memory = args.max_peak_mb is not None
@@ -552,6 +637,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import summarize_observations
 
     artifact = _study_artifact_path(args.traces)
+    if args.reconcile and artifact is not None:
+        args.usage_error(f"--reconcile needs .nttrace records to compare "
+                         f"against; {artifact} is an nt-study-1 artifact")
+    if args.reconcile and not args.streaming:
+        args.usage_error("--reconcile needs --streaming")
     if artifact is not None:
         from repro.analysis.streaming import format_streaming_report
         from repro.common.clock import ticks_from_seconds
@@ -676,34 +766,34 @@ def cmd_perf(args: argparse.Namespace) -> int:
         _print_perf_table(doc["machines"], len(doc["machines"]))
         return 0
 
-    telemetry = StudyTelemetry()
-    with telemetry.phase("simulate"):
+    phases: dict[str, float] = {}
+    with timed_phase(phases, "simulate"):
         result = run_study(StudyConfig(
             n_machines=args.machines, duration_seconds=args.seconds,
             seed=args.seed, content_scale=args.scale,
-            workers=args.workers), telemetry=telemetry)
-    with telemetry.phase("warehouse"):
+            workers=args.workers), telemetry=StudyTelemetry())
+    with timed_phase(phases, "warehouse"):
         warehouse = TraceWarehouse.from_study(result)
         _ = warehouse.instances
-    with telemetry.phase("analysis"):
+    with timed_phase(phases, "analysis"):
         summarize_observations(warehouse, result.perf)
     if args.json is not None:
         _write_perf_json(result.perf, _study_meta(args), args.json)
     _print_perf_table(result.perf, len(result.collectors))
     print("\nPipeline wall-clock:")
-    for name, seconds in sorted(telemetry.phase_seconds.items()):
+    for name, seconds in sorted(phases.items()):
         print(f"  {name:<12} {seconds:8.3f} s")
     if args.bench_json is not None:
         from repro.workload.parallel import resolve_workers
 
-        simulate_seconds = telemetry.phase_seconds["simulate"]
-        payload = telemetry.bench_payload()
-        payload.update({
+        simulate_seconds = phases["simulate"]
+        payload = {
+            "phases": {name: round(seconds, 6)
+                       for name, seconds in sorted(phases.items())},
             "format": "nt-throughput-2",
             "records": result.total_records,
             "machines": len(result.collectors),
-            # null = serial; otherwise the resolved worker-process count,
-            # so CI can track the serial-vs-parallel speedup.
+            # null = serial; otherwise the resolved worker-process count.
             "workers": (None if args.workers is None
                         else resolve_workers(args.workers, args.machines)),
             "records_per_second": (result.total_records / simulate_seconds
@@ -720,7 +810,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
                 "scale": args.scale,
                 "records": result.total_records,
             },
-        })
+        }
         args.bench_json.parent.mkdir(parents=True, exist_ok=True)
         args.bench_json.write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -737,8 +827,6 @@ def host_calibration_seconds(repeats: int = 5) -> float:
     never the absolute numbers, which keeps the regression band from
     tripping on a slower (or faster) runner.
     """
-    import time
-
     best = float("inf")
     for _ in range(repeats):
         begin = time.perf_counter()
@@ -952,54 +1040,9 @@ def cmd_spans_attribution(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_spans_bench(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    from repro import StudyConfig, run_study
-
-    def _timed(spans_enabled: bool):
-        config = StudyConfig(
-            n_machines=args.machines, duration_seconds=args.seconds,
-            seed=args.seed, content_scale=args.scale,
-            spans_enabled=spans_enabled)
-        begin = time.perf_counter()
-        result = run_study(config)
-        return time.perf_counter() - begin, result
-
-    base_seconds, base = _timed(False)
-    spans_seconds, spanned = _timed(True)
-    n_spans = sum(len(c.span_records) for c in spanned.collectors)
-    overhead = (spans_seconds - base_seconds) / base_seconds \
-        if base_seconds else float("nan")
-    print(f"spans off: {base_seconds:8.3f} s   "
-          f"({base.total_records} records)")
-    print(f"spans on:  {spans_seconds:8.3f} s   "
-          f"({n_spans} spans)")
-    print(f"overhead:  {overhead:+.1%}")
-    if args.json is not None:
-        payload = {
-            "format": "nt-span-bench-1",
-            "machines": args.machines,
-            "seconds": args.seconds,
-            "seed": args.seed,
-            "records": base.total_records,
-            "spans": n_spans,
-            "base_seconds": base_seconds,
-            "spans_seconds": spans_seconds,
-            "overhead_fraction": overhead,
-        }
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        print(f"wrote span-overhead baseline to {args.json}")
-    return 0
-
-
 def cmd_spans(args: argparse.Namespace) -> int:
     handlers = {"export": cmd_spans_export,
-                "attribution": cmd_spans_attribution,
-                "bench": cmd_spans_bench}
+                "attribution": cmd_spans_attribution}
     return handlers[args.spans_command](args)
 
 

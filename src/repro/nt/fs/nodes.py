@@ -12,7 +12,7 @@ from typing import Iterator, Optional
 from repro.common.flags import FileAttributes
 from repro.nt.fs.path import casefold_component, extension_of
 
-# Attribute test masks folded to plain ints once at import time.
+# Attribute test masks folded to plain ints once, when the module loads.
 _DIRECTORY_MASK = int(FileAttributes.DIRECTORY)
 _TEMPORARY_MASK = int(FileAttributes.TEMPORARY)
 

@@ -97,7 +97,7 @@ class FsControlCode(enum.IntEnum):
     SET_COMPRESSION = 0x9C040
 
 
-# PagingIO test mask, folded to a plain int once at import time.
+# PagingIO test mask, folded to a plain int once, when the module loads.
 _PAGING_MASK = int(IrpFlags.PAGING_IO | IrpFlags.SYNCHRONOUS_PAGING_IO)
 
 

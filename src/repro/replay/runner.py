@@ -124,9 +124,7 @@ def replay_archive(directory: Path | str,
              for i, (path, source) in enumerate(zip(paths, sources))]
     if telemetry is not None:
         telemetry.emit("replay-start", mode=config.mode,
-                       n_machines=len(tasks),
-                       workers=config.workers if config.workers is not None
-                       else "serial")
+                       n_machines=len(tasks))
     keep = KeepSink()
     drive(tasks, keep, config.workers, telemetry)
     result = ReplayResult(keep.parts, config.mode)

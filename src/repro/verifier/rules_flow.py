@@ -17,9 +17,8 @@ function boundaries:
   reported at the *earliest simulation-scope frame* of each chain: the
   function that either contains the source call or calls a tainted
   helper outside the scope.  Deeper sim-scope callers are quiet — the
-  root finding (or its justified baseline entry, the sanctioned-sink
-  policy) covers them, so sanctioning ``CampaignConsole`` does not
-  blind the verifier to a new clock read elsewhere.
+  root finding covers them.  Host time belongs in ``repro.cli``, which
+  times the simulation from outside the scope.
 * **F602** — identity-derived values (``id()`` results, instances
   hashing by default ``object.__hash__``) flowing into a container that
   is later iterated, ordered, merged, or serialized — across function
@@ -184,7 +183,7 @@ def f601_findings(
                 path, line, "F601",
                 f"{fn_qual} reaches wall-clock/entropy source {name} "
                 f"({why}); simulation state must derive from the seed "
-                "— sanction telemetry-only reads via the baseline")
+                "(time the simulation from repro.cli)")
             continue
         for site in edges.get(fn_qual, []):
             callee = site.callee

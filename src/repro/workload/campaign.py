@@ -19,21 +19,21 @@ order — so serial and ``--workers K`` campaigns produce byte-identical
 ``nt-study-1`` artifacts, and the property tests merge shards in shuffled
 orders to the same bytes.
 
-:class:`CampaignConsole` is the live view: one line per machine with
-records/sec, the storage queue-depth and cache dirty-page watermarks
-(the ``storage.*.queue_depth_max`` / ``cc.dirty_pages_peak`` perf gauges
-the flight recorder also samples), and the phase ETA.  Wall-clock only
-ever reaches the console and the bench payload's non-deterministic
-block — never the artifact.  The campaign itself reads no clock: the
-caller times it and passes the wall seconds to
-:meth:`CampaignConsole.campaign_done` and :func:`bench_payload`.
+:class:`CampaignConsole` counts the folded machines and emits one
+``machine-folded`` event per machine with its records and the storage
+queue-depth and cache dirty-page watermarks (the
+``storage.*.queue_depth_max`` / ``cc.dirty_pages_peak`` perf gauges the
+flight recorder also samples).  Nothing here reads a host clock: the
+live console that renders records/sec and an ETA is a subclass in
+:mod:`repro.cli`, which also times the campaign and passes the wall
+seconds to :func:`bench_payload`'s non-deterministic block — never to
+the artifact.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -58,25 +58,14 @@ def _watermarks(perf_snapshot: dict) -> tuple[int, int]:
     return queue, int(gauges.get("cc.dirty_pages_peak", 0))
 
 
-def _fmt_eta(seconds: float) -> str:
-    seconds = max(0, int(round(seconds)))
-    if seconds < 60:
-        return f"{seconds}s"
-    minutes, secs = divmod(seconds, 60)
-    if minutes < 60:
-        return f"{minutes}m{secs:02d}s"
-    hours, minutes = divmod(minutes, 60)
-    return f"{hours}h{minutes:02d}m"
-
-
 class CampaignConsole(StudyTelemetry):
-    """Live campaign progress: one line per machine as it folds.
+    """Campaign progress: counts each machine as it folds and emits a
+    ``machine-folded`` event.
 
     Subclasses :class:`StudyTelemetry` so worker events flow through the
-    same queue-drain path as study runs, but renders its own compact
-    lines instead of raw ``key=value`` telemetry::
-
-        [study  12/100] m11-personal      15,023 rec   52,001 rec/s  queue^7  dirty^412  eta 38s
+    same queue-drain path as study runs.  It prints nothing itself:
+    ``stream`` and ``quiet`` are for subclasses that render console
+    lines, such as ``repro study``'s live console in :mod:`repro.cli`.
     """
 
     def __init__(self, n_machines: int,
@@ -88,42 +77,15 @@ class CampaignConsole(StudyTelemetry):
         self.quiet = quiet
         self.n_folded = 0
         self.records_folded = 0
-        self._started = time.perf_counter()
-
-    def _say(self, line: str) -> None:
-        if not self.quiet:
-            with self._lock:
-                self.stream.write(line + "\n")
-                self.stream.flush()
 
     def machine_folded(self, index: int, name: str, records: int,
                        queue_peak: int, dirty_peak: int) -> None:
         """One machine's trace has been folded into the sketch."""
         self.n_folded += 1
         self.records_folded += records
-        elapsed = time.perf_counter() - self._started
-        rate = self.records_folded / elapsed if elapsed > 0 else 0.0
-        remaining = self.n_machines - self.n_folded
-        eta = (elapsed / self.n_folded * remaining) if self.n_folded else 0.0
         self.emit("machine-folded", machine=name, index=index,
                   records=records, queue_depth_peak=queue_peak,
                   dirty_pages_peak=dirty_peak)
-        self._say(
-            f"[study {self.n_folded:3d}/{self.n_machines}] {name:<20} "
-            f"{records:>10,} rec {rate:>10,.0f} rec/s  "
-            f"queue^{queue_peak} dirty^{dirty_peak}  eta {_fmt_eta(eta)}")
-
-    def campaign_done(self, sketch: StatsSketch,
-                      wall_seconds: float) -> None:
-        self.emit("campaign-done", machines=sketch.n_machines,
-                  records=sketch.n_records,
-                  wall_seconds=wall_seconds)
-        rate = sketch.n_records / wall_seconds if wall_seconds else 0.0
-        self._say(
-            f"[study done] {sketch.n_machines} machines  "
-            f"{sketch.n_records:,} records  "
-            f"{sketch.n_instances:,} instances  "
-            f"{rate:,.0f} rec/s  wall {_fmt_eta(wall_seconds)}")
 
 
 @dataclass

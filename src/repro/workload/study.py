@@ -16,22 +16,21 @@ which writes each machine's ``.nttrace`` as soon as it finishes, the way
 the paper's collection servers stored each stream as it arrived.
 
 :class:`StudyTelemetry` is the run's progress layer: structured
-per-machine (and, for day-scale runs, per-simulated-day) progress lines,
-plus wall-clock self-profiling of the simulate → warehouse-build →
-analysis pipeline.  Wall-clock figures never enter the study's results or
-``perf.json`` — those stay fully deterministic — they only feed the
-progress stream and the CI ``BENCH_perf.json`` baseline.
+per-machine (and, for day-scale runs, per-simulated-day) events carrying
+simulated, deterministic fields only, so a run emits the same events
+serially and under workers.  Nothing here reads a host clock: the CLI
+times what it reports (``repro perf``'s phases, ``repro study``'s
+console), like the paper's collection servers, which measured offline
+what the filter driver only buffered (§3.2).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -117,14 +116,11 @@ class StudyResult:
 
 
 class StudyTelemetry:
-    """Progress lines and wall-clock phase profiling for a study run.
+    """Progress events for a study run.
 
-    ``emit`` prints one structured ``key=value`` line per event to
-    ``stream`` (stderr by default) when ``verbose`` — the operational view
-    the paper's collection servers gave their operators.  ``phase`` times
-    a pipeline stage (simulate, warehouse, analysis) in wall-clock
-    seconds; phases are always recorded even when line printing is off,
-    so benchmarks can self-profile silently.
+    ``emit`` records one structured event and, when ``verbose``, prints it
+    as a ``key=value`` line to ``stream`` (stderr by default) — the
+    operational view the paper's collection servers gave their operators.
 
     Thread-safe: during parallel runs worker events are forwarded by the
     engine's queue-drain thread while the main thread may emit too, so
@@ -136,7 +132,6 @@ class StudyTelemetry:
                  verbose: bool = True) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self.verbose = verbose
-        self.phase_seconds: dict[str, float] = {}
         self.events: list[dict] = []
         self._lock = threading.Lock()
 
@@ -162,26 +157,6 @@ class StudyTelemetry:
         if isinstance(value, float):
             return f"{value:.3f}"
         return str(value)
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a pipeline stage; cumulative across repeated entries."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.phase_seconds[name] = \
-                self.phase_seconds.get(name, 0.0) + elapsed
-            self.emit("phase-done", phase=name, wall_seconds=elapsed)
-
-    def bench_payload(self) -> dict:
-        """Wall-clock phase timings: the ``phases`` block of the
-        ``nt-throughput-2`` baseline ``repro perf --bench-json`` writes
-        (committed as ``BENCH_throughput.json``)."""
-        return {"phases": {name: round(seconds, 6)
-                           for name, seconds in
-                           sorted(self.phase_seconds.items())}}
 
 
 def _apportion(weights: Sequence[float], total: int) -> list[int]:
@@ -419,7 +394,6 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
     workload.install()
     if telemetry is not None:
         _install_day_marks(machine, horizon, telemetry)
-    wall_started = time.perf_counter()
     machine.run_until(horizon)
     workload.shutdown()
     machine.finish_tracing(
@@ -430,8 +404,7 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
             "machine-done", machine=name, category=category_name,
             index=index, of=n_total,
             records=len(machine.collector),
-            sim_seconds=config.duration_seconds,
-            wall_seconds=time.perf_counter() - wall_started)
+            sim_seconds=config.duration_seconds)
     return MachineArtifact(
         index=index, name=name, category=category_name,
         collector=machine.collector,

@@ -223,6 +223,58 @@ class TestStudyCli:
         captured = capsys.readouterr()
         assert "matches the materialized warehouse exactly" in captured.out
 
+    def test_report_reconcile_needs_streaming(self, tmp_path, capsys):
+        rc = cli_main(["run", "--machines", "2", "--seconds", "10",
+                       "--seed", "5", "--scale", "0.05",
+                       "--out", str(tmp_path / "traces")])
+        assert rc == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["report", str(tmp_path / "traces"), "--reconcile"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--reconcile needs --streaming" in captured.err
+        assert captured.out == ""
+
+    def test_report_reconcile_refuses_study_artifact(self, tmp_path, capsys):
+        rc = cli_main(["study", "--machines", "2", "--seconds", "10",
+                       "--seed", "5", "--scale", "0.05", "--quiet",
+                       "--out", str(tmp_path / "study")])
+        assert rc == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["report", str(tmp_path / "study"), "--streaming",
+                      "--reconcile"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--reconcile" in captured.err
+        assert "nt-study-1 artifact" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        "study --machines 2 --seconds -5",
+        "study --machines 1 --weeks -1",
+        "study --machines 1 --seconds inf",
+        "study --machines 1 --seconds nan",
+        "study --machines 1 --scale 0",
+        "study --machines 0",
+        "run --machines 1 --seconds 0",
+        "run --machines 1 --scale 1.5",
+        "run --machines -2",
+        "perf --machines 0",
+        "perf --machines 1 --seconds 1e400",
+        "perf --machines 1 --scale nan",
+    ])
+    def test_bad_fleet_shape_is_a_usage_error(self, argv, capsys):
+        # The last flag of each case is the bad one.
+        *_, flag, value = argv.split()
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv.split())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err
+        assert f"'{value}'" in err
+
     def test_figures_streaming(self, tmp_path, capsys):
         cli_main(["run", "--machines", "2", "--seconds", "10",
                   "--seed", "5", "--scale", "0.05",

@@ -6,18 +6,31 @@ operational guarantees: every printed line is well-formed (never
 interleaved mid-line even with concurrent workers), per-machine progress
 covers the whole fleet, a campaign's console reports each machine while
 later ones still simulate, ``study-done`` arrives after every worker
-event, and wall-clock phase profiling still accounts for the run's total
-time.
+event, a run emits the same events serially and under workers, and the
+CLI's wall-clock phase timing still accounts for the run's total time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import re
 import time
 
-from repro import StudyConfig, StudyTelemetry, TraceWarehouse, run_study
+import pytest
+
+from repro import (
+    ReplayConfig,
+    StudyConfig,
+    StudyTelemetry,
+    TraceWarehouse,
+    replay_archive,
+    run_study,
+)
+from repro.cli import timed_phase
+from repro.workload.campaign import CampaignConsole, run_campaign
+from repro.workload.study import archive_study
 
 # One structured line: "[telemetry] event=<name> key=value key=value ...",
 # keys and values with no internal whitespace.  A mid-line interleaving of
@@ -30,6 +43,39 @@ def _parallel_config(n_machines=3, workers=2) -> StudyConfig:
     return StudyConfig(n_machines=n_machines, duration_seconds=6.0, seed=9,
                        content_scale=0.05, with_network_shares=False,
                        workers=workers)
+
+
+EVENTS_CONFIG = StudyConfig(n_machines=3, duration_seconds=5.0, seed=5,
+                            content_scale=0.05)
+
+
+def _canonical(events: list[dict]) -> list[str]:
+    return sorted(json.dumps(event, sort_keys=True) for event in events)
+
+
+def _study_events(workers, _archive) -> list[str]:
+    telemetry = StudyTelemetry(verbose=False)
+    run_study(dataclasses.replace(EVENTS_CONFIG, workers=workers), telemetry)
+    return _canonical(telemetry.events)
+
+
+def _campaign_events(workers, _archive) -> list[str]:
+    console = CampaignConsole(EVENTS_CONFIG.n_machines, quiet=True)
+    run_campaign(dataclasses.replace(EVENTS_CONFIG, workers=workers), console)
+    return _canonical(console.events)
+
+
+def _replay_events(workers, archive) -> list[str]:
+    telemetry = StudyTelemetry(verbose=False)
+    replay_archive(archive, ReplayConfig(seed=5, workers=workers), telemetry)
+    return _canonical(telemetry.events)
+
+
+@pytest.fixture(scope="module")
+def events_archive(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("events") / "traces"
+    archive_study(EVENTS_CONFIG, directory)
+    return directory
 
 
 class TestParallelTelemetry:
@@ -63,16 +109,17 @@ class TestParallelTelemetry:
 
     def test_phase_profile_sums_to_total_wall_time(self):
         telemetry = StudyTelemetry(verbose=False)
+        phases: dict[str, float] = {}
         started = time.perf_counter()
-        with telemetry.phase("simulate"):
+        with timed_phase(phases, "simulate"):
             result = run_study(_parallel_config(n_machines=2),
                                telemetry=telemetry)
-        with telemetry.phase("warehouse"):
+        with timed_phase(phases, "warehouse"):
             TraceWarehouse.from_study(result)
         total = time.perf_counter() - started
-        covered = sum(telemetry.phase_seconds.values())
-        assert telemetry.phase_seconds["simulate"] > 0.0
-        assert telemetry.phase_seconds["warehouse"] > 0.0
+        covered = sum(phases.values())
+        assert phases["simulate"] > 0.0
+        assert phases["warehouse"] > 0.0
         # The two phases tile the measured interval: they can never
         # exceed it, and the only uncovered time is microseconds of test
         # glue between the context managers.
@@ -85,7 +132,7 @@ class TestParallelTelemetry:
         # The last machine simulates a hundred times longer than the
         # others (about a second of wall time), which keeps the check
         # independent of host load.
-        from repro.workload.campaign import CampaignConsole, FoldSink
+        from repro.workload.campaign import FoldSink
         from repro.workload.parallel import drive, machine_tasks
         config = _parallel_config(n_machines=3)
         tasks = machine_tasks(config)
@@ -100,6 +147,15 @@ class TestParallelTelemetry:
         folded = [e["index"] for e in console.events
                   if e["event"] == "machine-folded"]
         assert folded == [0, 1, 2]
+
+    @pytest.mark.parametrize("events", [
+        _study_events, _campaign_events, _replay_events,
+    ], ids=["run_study", "run_campaign", "replay_archive"])
+    def test_events_same_serial_and_under_workers(self, events,
+                                                  events_archive):
+        # Events carry simulated, deterministic fields only, so where a
+        # machine ran cannot show in them; only their order may differ.
+        assert events(2, events_archive) == events(None, events_archive)
 
     def test_telemetry_presence_never_changes_results(self):
         from tests.conftest import assert_studies_identical
