@@ -20,13 +20,19 @@ exactly rather than estimate it:
   forked-clock) and therefore off the critical path.  The FastIO rows
   land in the 1–100 µs band and the IRP rows above it, matching the
   figure 13/14 latency split.
+
+All three read the collector's staged span log as int64 rows
+(``TraceCollector.span_rows``) and never build a
+:class:`~repro.nt.tracing.spans.SpanRecord`.  Sums are exact int64
+reductions, returned as Python ints.  Span ids are unique and each
+``parent_id`` is 0 or an earlier span's id: the tracer's invariants,
+which the store decoder checks on every archive.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from repro.analysis.warehouse import record_rows
 from repro.nt.tracing.records import RECORD_COLUMNS, TraceEventKind
 from repro.nt.tracing.spans import (
     SPAN_BACKGROUND,
+    SPAN_RECORDED,
     SpanCause,
     SpanRecord,
 )
@@ -46,6 +53,11 @@ _TICKS_PER_MICROSECOND = 10
 
 _KIND = RECORD_COLUMNS.index("kind")
 _LENGTH = RECORD_COLUMNS.index("length")
+# Span-row columns, in SpanRecord field order.
+(_SPAN_ID, _PARENT_ID, _ACTIVITY_ID, _OP, _CAUSE, _T_BEGIN, _T_END,
+ _NBYTES, _FLAGS) = (SpanRecord.__slots__.index(name) for name in (
+    "span_id", "parent_id", "activity_id", "op", "cause", "t_begin",
+    "t_end", "nbytes", "flags"))
 
 # The data-path kinds the critical-path decomposition reports on.
 DATA_PATH_KINDS: tuple[TraceEventKind, ...] = (
@@ -54,6 +66,29 @@ DATA_PATH_KINDS: tuple[TraceEventKind, ...] = (
     TraceEventKind.FASTIO_READ,
     TraceEventKind.FASTIO_WRITE,
 )
+_DATA_PATH_OPS = np.array(DATA_PATH_KINDS, dtype=np.int64)
+_DEVICE = int(SpanCause.DEVICE)
+
+
+def _group_sums(keys: np.ndarray, values: np.ndarray
+                ) -> dict[int, tuple[int, int]]:
+    """``{key: (count, sum of values)}`` in ascending key order, as
+    Python ints.  The sums are int64 reductions, exact while each fits in
+    int64 (a run's byte and tick totals are orders of magnitude below)."""
+    if not len(keys):
+        return {}
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    uniq, starts, counts = np.unique(keys, return_index=True,
+                                     return_counts=True)
+    sums = np.add.reduceat(values, starts)
+    return {key: (n, total) for key, n, total in
+            zip(uniq.tolist(), counts.tolist(), sums.tolist())}
+
+
+def _recorded(rows: np.ndarray) -> np.ndarray:
+    """The span rows that carry :data:`SPAN_RECORDED`."""
+    return rows[(rows[:, _FLAGS] & SPAN_RECORDED) != 0]
 
 
 # --------------------------------------------------------------------- #
@@ -149,12 +184,12 @@ SPAN_RECORDED` — each such span corresponds to exactly one trace record
         rows={cause: CauseRow(cause) for cause in SpanCause},
         n_machines=len(collectors))
     for collector in collectors:
-        for span in collector.span_records:
-            if not span.recorded:
-                continue
-            row = table.rows[SpanCause(span.cause)]
-            row.ops += 1
-            row.nbytes += span.nbytes
+        recorded = _recorded(collector.span_rows())
+        sums = _group_sums(recorded[:, _CAUSE], recorded[:, _NBYTES])
+        for cause, (ops, nbytes) in sums.items():
+            row = table.rows[cause]  # SpanCause is an IntEnum
+            row.ops += ops
+            row.nbytes += nbytes
     return table
 
 
@@ -169,27 +204,17 @@ def reconcile_attribution(collector: "TraceCollector") -> dict[str, dict]:
     and their byte total must equal the number of trace records of that
     kind and their byte total.  Returns ``{}`` when the accounting is
     exact; otherwise a ``{kind_name: {"records": (n, bytes),
-    "spans": (n, bytes)}}`` mapping naming each discrepancy.  The record
-    side is read from the collector's rows in place.
+    "spans": (n, bytes)}}`` mapping naming each discrepancy.  Both sides
+    are read from the collector's rows in place.
     """
-    rows = record_rows(collector)
-    kinds = rows[:, _KIND]
-    record_counts: dict[int, int] = {}
-    record_bytes: dict[int, int] = {}
-    for kind in np.unique(kinds).tolist():
-        lengths = rows[kinds == kind, _LENGTH]
-        record_counts[kind] = len(lengths)
-        record_bytes[kind] = int(lengths.sum())
-    span_counts: Counter = Counter()
-    span_bytes: Counter = Counter()
-    for span in collector.span_records:
-        if span.recorded:
-            span_counts[span.op] += 1
-            span_bytes[span.op] += span.nbytes
+    records = record_rows(collector)
+    record_sides = _group_sums(records[:, _KIND], records[:, _LENGTH])
+    recorded = _recorded(collector.span_rows())
+    span_sides = _group_sums(recorded[:, _OP], recorded[:, _NBYTES])
     problems: dict[str, dict] = {}
-    for kind in sorted(set(record_counts) | set(span_counts)):
-        recs = (record_counts.get(kind, 0), record_bytes.get(kind, 0))
-        spans = (span_counts.get(kind, 0), span_bytes.get(kind, 0))
+    for kind in sorted(record_sides.keys() | span_sides.keys()):
+        recs = record_sides.get(kind, (0, 0))
+        spans = span_sides.get(kind, (0, 0))
         if recs != spans:
             problems[TraceEventKind(kind).name] = {
                 "records": recs, "spans": spans}
@@ -297,56 +322,89 @@ class CriticalPathTable:
         return "\n".join(lines)
 
 
-def _decompose_machine(spans: Iterable[SpanRecord],
-                       rows: dict[TraceEventKind, PathRow]) -> None:
-    spans = list(spans)
-    wanted = {int(kind) for kind in DATA_PATH_KINDS}
-    by_id = {span.span_id: span for span in spans}
-    roots: dict[int, PathRow] = {}
-    for span in spans:
-        if span.is_root and span.op in wanted and span.recorded:
-            roots[span.span_id] = rows[TraceEventKind(span.op)]
-    for span in spans:
-        if span.is_root:
-            row = roots.get(span.span_id)
-            if row is not None:
-                row.n += 1
-                row.total_ticks += span.duration
-            continue
-        # Direct children of an interesting root: background work ran on
-        # a forked clock (overlapped, off the critical path); everything
-        # else advanced the root's own clock (on-path induced time).
-        row = roots.get(span.parent_id)
-        if row is None:
-            continue
-        if span.flags & SPAN_BACKGROUND:
-            row.overlapped_ticks += span.duration
-        else:
-            row.sync_ticks += span.duration
+def _find(sorted_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The index of each key in ``sorted_ids``; -1 where it is absent."""
+    pos = np.searchsorted(sorted_ids, keys)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == keys[found]
+    return np.where(found, pos, -1)
+
+
+def _under_background(parent_pos: np.ndarray, background: np.ndarray,
+                      spans: np.ndarray) -> np.ndarray:
+    """Whether any ancestor of each of ``spans`` (row indices) ran on a
+    forked clock.
+
+    Walks every chain up ``parent_pos`` (each row's parent row, -1 for a
+    root or a missing parent) in lockstep.  The walk is bounded: a chain
+    longer than the log is a parent cycle, which raises ``ValueError``.
+    """
+    under = np.zeros(len(spans), dtype=bool)
+    walking = np.arange(len(spans))
+    cursor = parent_pos[spans]
+    for _ in range(len(parent_pos) + 1):
+        live = cursor >= 0
+        walking, cursor = walking[live], cursor[live]
+        if not len(walking):
+            return under
+        hit = background[cursor]
+        under[walking[hit]] = True
+        walking, cursor = walking[~hit], parent_pos[cursor[~hit]]
+    raise ValueError("span log has a parent cycle")
+
+
+def _decompose_machine(rows: np.ndarray,
+                       table_rows: dict[TraceEventKind, PathRow]) -> None:
+    """Add one machine's span rows to the per-kind decomposition."""
+    ids, parents = rows[:, _SPAN_ID], rows[:, _PARENT_ID]
+    flags = rows[:, _FLAGS]
+    durations = rows[:, _T_END] - rows[:, _T_BEGIN]
+    background = (flags & SPAN_BACKGROUND) != 0
+    # The recorded data-path roots, sorted by id for lookups.
+    wanted = ((parents == 0) & ((flags & SPAN_RECORDED) != 0)
+              & np.isin(rows[:, _OP], _DATA_PATH_OPS))
+    order = np.argsort(ids[wanted], kind="stable")
+    root_ids = ids[wanted][order]
+    root_ops = rows[wanted, _OP][order]
+
+    # table_rows is keyed by TraceEventKind, an IntEnum: plain int ops
+    # hash and compare equal to its members.
+    def add(ops: np.ndarray, ticks: np.ndarray, attr: str) -> None:
+        for op, (_n, total) in _group_sums(ops, ticks).items():
+            row = table_rows[op]
+            setattr(row, attr, getattr(row, attr) + total)
+
+    for op, (n, total) in _group_sums(rows[wanted, _OP],
+                                      durations[wanted]).items():
+        row = table_rows[op]
+        row.n += n
+        row.total_ticks += total
+    # Direct children of an interesting root: background work ran on a
+    # forked clock (overlapped, off the critical path); everything else
+    # advanced the root's own clock (on-path induced time).
+    children = np.flatnonzero(parents != 0)
+    root = _find(root_ids, parents[children])
+    children, root = children[root >= 0], root[root >= 0]
+    bg = background[children]
+    add(root_ops[root[bg]], durations[children[bg]], "overlapped_ticks")
+    add(root_ops[root[~bg]], durations[children[~bg]], "sync_ticks")
     # Storage-device spans sit at arbitrary depth (directly under a NIB
     # root, or under MM annotations and paging IRPs); attribute them to
     # their activity root, splitting on whether any ancestor ran on a
     # forked clock.
-    for span in spans:
-        if span.cause != int(SpanCause.DEVICE):
-            continue
-        row = roots.get(span.activity_id)
-        if row is None:
-            continue
-        background = False
-        cursor = span
-        while cursor.parent_id != 0:
-            parent = by_id.get(cursor.parent_id)
-            if parent is None:
-                break
-            if parent.flags & SPAN_BACKGROUND:
-                background = True
-                break
-            cursor = parent
-        if background:
-            row.device_overlapped_ticks += span.duration
-        else:
-            row.device_ticks += span.duration
+    device = np.flatnonzero(rows[:, _CAUSE] == _DEVICE)
+    root = _find(root_ids, rows[device, _ACTIVITY_ID])
+    device, root = device[root >= 0], root[root >= 0]
+    if not len(device):
+        return
+    by_id = np.argsort(ids, kind="stable")
+    parent_pos = _find(ids[by_id], parents)
+    parent_pos = np.where((parents != 0) & (parent_pos >= 0),
+                          by_id[parent_pos], -1)
+    bg = _under_background(parent_pos, background, device)
+    add(root_ops[root[bg]], durations[device[bg]],
+        "device_overlapped_ticks")
+    add(root_ops[root[~bg]], durations[device[~bg]], "device_ticks")
 
 
 def critical_path_table(collectors: Sequence["TraceCollector"]
@@ -357,5 +415,5 @@ def critical_path_table(collectors: Sequence["TraceCollector"]
         rows={kind: PathRow(kind) for kind in DATA_PATH_KINDS},
         n_machines=len(collectors))
     for collector in collectors:
-        _decompose_machine(collector.span_records, table.rows)
+        _decompose_machine(collector.span_rows(), table.rows)
     return table

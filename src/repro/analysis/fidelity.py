@@ -32,7 +32,12 @@ import numpy as np
 from repro.analysis.compare import ks_distance
 from repro.analysis.warehouse import record_rows
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.records import RECORD_COLUMNS, TraceEventKind
+from repro.nt.tracing.records import (
+    KIND_NAMES,
+    N_EVENT_KINDS,
+    RECORD_COLUMNS,
+    TraceEventKind,
+)
 
 # The core data path whose per-kind counts closed-loop replay must
 # reproduce exactly: open, read and write on both dispatch paths, and the
@@ -94,7 +99,9 @@ class TraceStats:
         stats.n_records = len(rows)
         values, counts = np.unique(kinds, return_counts=True)
         for value, n in zip(values.tolist(), counts.tolist()):
-            stats.kind_counts[TraceEventKind(value).name] = n
+            if not 0 <= value < N_EVENT_KINDS:
+                raise ValueError(f"{value} is not a valid TraceEventKind")
+            stats.kind_counts[KIND_NAMES[value]] = n
         stats.irp_reads = stats.kind_counts["IRP_READ"]
         stats.fastio_reads = stats.kind_counts["FASTIO_READ"]
         is_read = np.isin(kinds, _READ_KINDS)

@@ -65,6 +65,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.analysis.streaming import StatsSketch
+from repro.common.clock import TICKS_PER_SECOND
 from repro.workload.campaign import CampaignConsole
 
 
@@ -82,10 +83,11 @@ def _workers_argument(value: str) -> int:
     return n
 
 
-def _fleet_argument(kind: type, most: float = math.inf):
-    """The argparse type of a fleet-shape flag (``--machines``,
-    ``--seconds``, ``--weeks``, ``--scale``): a finite ``kind`` above
-    zero and at most ``most``."""
+def _positive_argument(kind: type, most: float = math.inf):
+    """The argparse type of a positive numeric flag (the fleet shape
+    ``--machines``, ``--seconds``, ``--weeks``, ``--scale``, and
+    ``--max-peak-mb``): a finite ``kind`` above zero and at most
+    ``most``."""
     expected = ("an integer" if kind is int else "a finite number") + (
         f" in (0, {most:g}]" if most < math.inf else " > 0")
 
@@ -101,9 +103,18 @@ def _fleet_argument(kind: type, most: float = math.inf):
     return parse
 
 
-_machines_argument = _fleet_argument(int)
-_duration_argument = _fleet_argument(float)
-_scale_argument = _fleet_argument(float, most=1.0)
+# A run's horizon in 100 ns ticks must fit the records' int64 tick
+# fields; half the int64 range leaves room for the drain and for timers
+# that fire past the horizon.
+_MAX_SECONDS = 2 ** 62 / TICKS_PER_SECOND
+_SECONDS_PER_WEEK = 7 * 86_400.0
+
+_machines_argument = _positive_argument(int)
+_duration_argument = _positive_argument(float, most=_MAX_SECONDS)
+_weeks_argument = _positive_argument(float,
+                                     most=_MAX_SECONDS / _SECONDS_PER_WEEK)
+_scale_argument = _positive_argument(float, most=1.0)
+_megabytes_argument = _positive_argument(float)
 
 
 def _add_workers_option(parser: argparse.ArgumentParser) -> None:
@@ -151,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "study", help="run a paper-scale streaming campaign on one box")
     study.add_argument("--machines", type=_machines_argument, default=45,
                        help="fleet size (the paper traced 45)")
-    study.add_argument("--weeks", type=_duration_argument, default=None,
+    study.add_argument("--weeks", type=_weeks_argument, default=None,
                        help="simulated duration in weeks (the paper's 4);"
                             " overrides --seconds")
     study.add_argument("--seconds", type=_duration_argument, default=60.0,
@@ -176,7 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             " BENCH_study baseline: deterministic sketch"
                             " digest + wall-clock, plus the traced peak"
                             " memory when --max-peak-mb is given)")
-    study.add_argument("--max-peak-mb", type=float, default=None,
+    study.add_argument("--max-peak-mb", type=_megabytes_argument,
+                       default=None,
                        help="trace memory with tracemalloc and fail if"
                             " its peak exceeds this budget (the CI"
                             " flat-memory gate; slows the campaign)")
@@ -507,7 +519,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
     seconds = args.seconds
     if args.weeks is not None:
-        seconds = args.weeks * 7 * 86_400.0
+        seconds = args.weeks * _SECONDS_PER_WEEK
     config = StudyConfig(
         n_machines=args.machines, duration_seconds=seconds,
         seed=args.seed, content_scale=args.scale, workers=args.workers)
@@ -987,7 +999,7 @@ def _load_span_study(traces: Path):
         collectors = load_study(traces)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
-    if not any(c.span_records for c in collectors):
+    if not any(c.n_spans for c in collectors):
         raise SystemExit(
             f"no span records in {traces} — re-run "
             f"`repro run --spans --out {traces}` to record them")
@@ -998,7 +1010,7 @@ def cmd_spans_export(args: argparse.Namespace) -> int:
     from repro.nt.tracing.spans import write_chrome_trace
 
     collectors = _load_span_study(args.traces)
-    n_spans = sum(len(c.span_records) for c in collectors)
+    n_spans = sum(c.n_spans for c in collectors)
     nbytes = write_chrome_trace(collectors, args.out)
     print(f"exported {n_spans} spans from {len(collectors)} machines to "
           f"{args.out} ({nbytes / 1024:.0f} KB)")

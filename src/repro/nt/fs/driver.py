@@ -72,6 +72,7 @@ _OPT_RANDOM_ACCESS = int(CreateOptions.RANDOM_ACCESS)
 _OPT_DELETE_ON_CLOSE = int(CreateOptions.DELETE_ON_CLOSE)
 _ATTR_TEMPORARY = int(FileAttributes.TEMPORARY)
 _ATTR_COMPRESSED = int(FileAttributes.COMPRESSED)
+_IRP_WRITE_THROUGH = int(IrpFlags.WRITE_THROUGH)
 
 # A small fraction of FastIO data calls is declined (byte-range locks,
 # compressed ranges, ...), exercising the IRP retry the paper describes.
@@ -294,7 +295,7 @@ class FileSystemDriver(Driver):
         status, returned = machine.cc.copy_write(fo, irp.offset, irp.length)
         self._touch_written(volume, node)
         if status.is_success and (fo.has_flag(FileObjectFlags.WRITE_THROUGH)
-                                  or irp.flags & IrpFlags.WRITE_THROUGH):
+                                  or irp.flags & _IRP_WRITE_THROUGH):
             machine.cc.flush_range(node, irp.offset, irp.length)
         return irp.complete(status, returned)
 

@@ -36,6 +36,12 @@ Every record the initiator cannot re-issue is counted in the
 :class:`ReplayOutcome` with a reason — never dropped silently — and every
 re-issued record whose completion status or transfer count differs from
 the archive is counted as a divergence.
+
+A record's kind stays a plain int from the row to the outcome: the kind
+name, the IRP ``(major, minor)`` and the FastIO op come from tables built
+once at import, and header flags and create parameters pass to the
+:class:`~repro.nt.io.irp.Irp` as the ints the archive holds, so
+injection constructs no enum per record.
 """
 
 from __future__ import annotations
@@ -44,12 +50,7 @@ from array import array
 from collections import Counter
 from typing import Optional, TYPE_CHECKING
 
-from repro.common.flags import (
-    CreateDisposition,
-    CreateOptions,
-    FileAttributes,
-    IrpFlags,
-)
+from repro.common.flags import CreateOptions, FileAttributes
 from repro.nt.fs.nodes import DirectoryNode, Node
 from repro.nt.fs.path import split_path
 from repro.nt.fs.volume import Volume
@@ -59,6 +60,8 @@ from repro.nt.io.irp import Irp, IrpMajor
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.fastbuf import RECORD_FIELDS
 from repro.nt.tracing.records import (
+    KIND_NAMES,
+    N_EVENT_KINDS,
     RECORD_COLUMNS,
     TraceEventKind,
     fastio_op_for_kind,
@@ -75,6 +78,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         "kind", "fo_id", "pid", "status", "irp_flags", "offset", "length",
         "returned", "file_size", "disposition", "options", "attributes",
         "info"))
+
+# Dispatch tables indexed by a record's kind, like KIND_NAMES: the IRP
+# (major, minor) that reproduces an IRP-path kind, and the FastIO op of a
+# FastIO-path kind (None on the other path).
+_IRP_FUNCTIONS = tuple(None if kind.is_fastio else irp_for_kind(kind)
+                       for kind in TraceEventKind)
+_FASTIO_OPS = tuple(fastio_op_for_kind(kind) if kind.is_fastio else None
+                    for kind in TraceEventKind)
+_MOUNT_VOLUME = int(TraceEventKind.IRP_FSCTL_MOUNT_VOLUME)
+_CREATE = int(TraceEventKind.IRP_CREATE)
+_OPT_DIRECTORY_FILE = int(CreateOptions.DIRECTORY_FILE)
 
 # NT severity convention: success and informational statuses are below
 # 0xC0000000; archived status values are raw ints.
@@ -206,26 +220,29 @@ class ReplayInitiator:
         record block, against the replay machine."""
         row = block[base:base + RECORD_FIELDS]
         self.outcome.source_records += 1
-        kind = TraceEventKind(row[_KIND])
-        if kind == TraceEventKind.IRP_FSCTL_MOUNT_VOLUME:
+        kind = row[_KIND]
+        if not 0 <= kind < N_EVENT_KINDS:
+            raise ValueError(f"{kind} is not a valid TraceEventKind")
+        if kind == _MOUNT_VOLUME:
             self._map_mount(row, kind)
             return
-        if kind == TraceEventKind.IRP_CREATE:
+        if kind == _CREATE:
             self._inject_create(row, kind)
             return
         fo = self._fo_map.get(row[_FO_ID])
         if fo is None:
             self._skip(kind, "no file object mapping")
             return
-        if kind.is_fastio:
-            self._inject_fastio(row, kind, fo)
-        else:
+        op = _FASTIO_OPS[kind]
+        if op is None:
             self._inject_irp(row, kind, fo)
+        else:
+            self._inject_fastio(row, kind, op, fo)
 
     # ------------------------------------------------------------------ #
-    # Per-shape injection.
+    # Per-shape injection.  ``kind`` is the record's kind as an int.
 
-    def _map_mount(self, row: array, kind: TraceEventKind) -> None:
+    def _map_mount(self, row: array, kind: int) -> None:
         """Mount records are regenerated by Machine.mount, not injected."""
         name = self._names.get(row[_FO_ID])
         volume = self._volumes.get(name.volume_label) if name else None
@@ -233,9 +250,9 @@ class ReplayInitiator:
             self._skip(kind, "unknown volume")
             return
         self._fo_map[row[_FO_ID]] = self.machine.volume_handle(volume)
-        self.outcome.reconstructed[kind.name] += 1
+        self.outcome.reconstructed[KIND_NAMES[kind]] += 1
 
-    def _inject_create(self, row: array, kind: TraceEventKind) -> None:
+    def _inject_create(self, row: array, kind: int) -> None:
         name = self._names.get(row[_FO_ID])
         if name is None:
             self._skip(kind, "no name record")
@@ -254,21 +271,18 @@ class ReplayInitiator:
             self._precreate(volume, name.path, row)
         fo = machine.io.allocate_file_object(name.path, volume, row[_PID])
         self._fo_map[row[_FO_ID]] = fo
-        irp = Irp(IrpMajor.CREATE, fo, row[_PID],
-                  flags=IrpFlags(row[_IRP_FLAGS]))
+        irp = Irp(IrpMajor.CREATE, fo, row[_PID], flags=row[_IRP_FLAGS])
         irp.create_path = name.path
-        irp.create_disposition = CreateDisposition(row[_DISPOSITION])
-        irp.create_options = CreateOptions(row[_OPTIONS])
-        irp.create_attributes = FileAttributes(row[_ATTRIBUTES])
+        irp.create_disposition = row[_DISPOSITION]
+        irp.create_options = row[_OPTIONS]
+        irp.create_attributes = row[_ATTRIBUTES]
         machine.io.send_irp(irp)
         self._finish(kind, row, int(irp.status), irp.returned)
 
-    def _inject_irp(self, row: array, kind: TraceEventKind,
-                    fo: FileObject) -> None:
+    def _inject_irp(self, row: array, kind: int, fo: FileObject) -> None:
         machine = self.machine
-        major, minor = irp_for_kind(kind)
-        irp = Irp(major, fo, row[_PID], minor=minor,
-                  flags=IrpFlags(row[_IRP_FLAGS]))
+        major, minor = _IRP_FUNCTIONS[kind]
+        irp = Irp(major, fo, row[_PID], minor=minor, flags=row[_IRP_FLAGS])
         if major in (IrpMajor.READ, IrpMajor.WRITE, IrpMajor.LOCK_CONTROL):
             irp.offset = row[_OFFSET]
             irp.length = row[_LENGTH]
@@ -301,10 +315,9 @@ class ReplayInitiator:
             fo.closed = True
         self._finish(kind, row, int(irp.status), irp.returned)
 
-    def _inject_fastio(self, row: array, kind: TraceEventKind,
+    def _inject_fastio(self, row: array, kind: int, op: FastIoOp,
                        fo: FileObject) -> None:
         machine = self.machine
-        op = fastio_op_for_kind(kind)
         if op in _FASTIO_DATA_OPS:
             # The handler declines (and the record would be silently
             # dropped) without a node and a cache map; force both.
@@ -338,7 +351,7 @@ class ReplayInitiator:
         """Create the node (and parent chain) an archived open expects."""
         node = self._build_node(
             volume, path,
-            want_directory=bool(row[_OPTIONS] & CreateOptions.DIRECTORY_FILE),
+            want_directory=bool(row[_OPTIONS] & _OPT_DIRECTORY_FILE),
             size=row[_FILE_SIZE])
         if node is not None:
             self.outcome.nodes_precreated += 1
@@ -398,17 +411,18 @@ class ReplayInitiator:
     # ------------------------------------------------------------------ #
     # Accounting.
 
-    def _skip(self, kind: TraceEventKind, reason: str) -> None:
-        self.outcome.skip(kind.name, reason)
+    def _skip(self, kind: int, reason: str) -> None:
+        self.outcome.skip(KIND_NAMES[kind], reason)
         self._perf_skipped.add(1)
 
-    def _finish(self, kind: TraceEventKind, row: array,
+    def _finish(self, kind: int, row: array,
                 status: int, returned: int) -> None:
-        self.outcome.injected[kind.name] += 1
+        name = KIND_NAMES[kind]
+        self.outcome.injected[name] += 1
         self._perf_injected.add(1)
         if status != row[_STATUS]:
-            self.outcome.status_divergences[kind.name] += 1
+            self.outcome.status_divergences[name] += 1
             self._perf_status_div.add(1)
         if returned != row[_RETURNED]:
-            self.outcome.returned_divergences[kind.name] += 1
+            self.outcome.returned_divergences[name] += 1
             self._perf_returned_div.add(1)

@@ -3,22 +3,21 @@
 The paper ran three dedicated collection servers storing incoming event
 streams in compressed form; here a collector is an in-process sink that
 accumulates trace records (as the trace filter's staged columnar blocks),
-name records, per-process names and file-system snapshots for one
-machine, ready for the store encoder and the analysis warehouse.
+name records, per-process names, file-system snapshots and the causal
+span log (staged int64 rows) for one machine, ready for the store
+encoder and the analysis warehouse.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from array import array
+
+import numpy as np
 
 from repro.nt.tracing.fastbuf import RECORD_FIELDS, records_from_block
 from repro.nt.tracing.records import NameRecord, TraceRecord
 from repro.nt.tracing.snapshot import SnapshotRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from array import array
-
-    from repro.nt.tracing.spans import SpanRecord
+from repro.nt.tracing.spans import SPAN_FIELDS, SpanRecord
 
 
 class TraceCollector:
@@ -28,18 +27,24 @@ class TraceCollector:
     (:mod:`repro.nt.tracing.fastbuf`) — flushed by the trace filter, or
     decoded whole by the store — and stay staged: the store encoder packs
     them directly, and :attr:`records` materialises them into dataclasses
-    only when analysis asks.
+    only when analysis asks.  The span log is staged the same way:
+    :attr:`span_log` holds :data:`~repro.nt.tracing.spans.SPAN_FIELDS`
+    int64 fields per finished span, :meth:`span_rows` reads it as numpy
+    rows, and :attr:`span_records` materialises a copy on request.
     """
 
     def __init__(self, machine_name: str) -> None:
         self.machine_name = machine_name
         self._records: list[TraceRecord] = []
-        self._blocks: list["array"] = []
+        self._blocks: list[array] = []
         self._n_staged = 0
         self.name_records: list[NameRecord] = []
-        # Causal span log (repro.nt.tracing.spans); empty unless the
-        # machine ran with spans enabled.
-        self.span_records: list["SpanRecord"] = []
+        # Causal span log (repro.nt.tracing.spans): one row of
+        # SPAN_FIELDS int64 fields per finished span, in SpanRecord field
+        # order; empty unless the machine ran with spans enabled.  The
+        # span tracer appends to this array in place, so it is never
+        # rebound.
+        self.span_log = array("q")
         # pid -> process image name (the paper attributed requests to the
         # requesting process).
         self.process_names: dict[int, str] = {}
@@ -62,7 +67,7 @@ class TraceCollector:
         self._blocks.clear()
         self._n_staged = 0
 
-    def record_chunks(self) -> tuple[list[TraceRecord], list["array"]]:
+    def record_chunks(self) -> tuple[list[TraceRecord], list[array]]:
         """(materialised records, staged blocks), in record order.
 
         The store encoder packs staged blocks directly, and the warehouse
@@ -72,7 +77,7 @@ class TraceCollector:
         """
         return self._records, self._blocks
 
-    def receive_block(self, block: "array") -> None:
+    def receive_block(self, block: array) -> None:
         """Accept one columnar block of records."""
         self._n_staged += len(block) // RECORD_FIELDS
         self._blocks.append(block)
@@ -81,9 +86,28 @@ class TraceCollector:
         """Accept a file-object name record."""
         self.name_records.append(record)
 
-    def receive_span(self, record: "SpanRecord") -> None:
-        """Accept one finished causal span."""
-        self.span_records.append(record)
+    @property
+    def n_spans(self) -> int:
+        """Spans in the log."""
+        return len(self.span_log) // SPAN_FIELDS
+
+    def span_rows(self) -> np.ndarray:
+        """The span log viewed in place as a read-only (n, SPAN_FIELDS)
+        int64 array, columns in ``SpanRecord.__slots__`` order.
+
+        While a view is alive the log cannot grow, so read it once the
+        machine has finished simulating.
+        """
+        rows = np.frombuffer(self.span_log, dtype=np.int64)
+        rows.flags.writeable = False
+        return rows.reshape(-1, SPAN_FIELDS)
+
+    @property
+    def span_records(self) -> list[SpanRecord]:
+        """The span log as dataclasses: a fresh list on every access, so
+        editing it leaves the log untouched."""
+        fields = iter(self.span_log)
+        return [SpanRecord(*row) for row in zip(*[fields] * SPAN_FIELDS)]
 
     def register_process(self, pid: int, name: str, interactive: bool) -> None:
         """Record the identity of a traced process."""

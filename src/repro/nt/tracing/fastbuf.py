@@ -16,7 +16,9 @@ dataclasses (:func:`records_from_block`) or the store encoder packs them
 (:func:`pack_block`).  On a little-endian host a block's ``tobytes()`` is
 byte for byte the concatenation of the archive's ``<15q`` record structs,
 so packing is a memory copy and decoding (:func:`unpack_block`) its
-inverse; elsewhere both fall back to per-row struct packing.
+inverse; elsewhere both fall back to per-row struct packing.  The causal
+span log (:mod:`repro.nt.tracing.spans`) is staged and packed the same
+way, with its own ``<11q`` row struct.
 """
 
 from __future__ import annotations
@@ -42,23 +44,25 @@ RECORD_STRUCT = struct.Struct("<15q")
 NATIVE_FAST_PACK = sys.byteorder == "little" and array("q").itemsize == 8
 
 
-def pack_block(block: array) -> bytes:
-    """Encode one staged block as the store's packed record bytes."""
+def pack_block(block: array, row: struct.Struct = RECORD_STRUCT) -> bytes:
+    """Encode one staged block as packed ``row`` structs (the store's
+    record bytes by default; ``row`` is all little-endian int64 fields)."""
     if NATIVE_FAST_PACK:
         return block.tobytes()
+    n_fields = row.size // 8
     out = bytearray()
-    for i in range(0, len(block), RECORD_FIELDS):
-        out += RECORD_STRUCT.pack(*block[i:i + RECORD_FIELDS])
+    for i in range(0, len(block), n_fields):
+        out += row.pack(*block[i:i + n_fields])
     return bytes(out)
 
 
-def unpack_block(raw: bytes) -> array:
-    """Decode packed record bytes (a whole number of records) into a block."""
+def unpack_block(raw: bytes, row: struct.Struct = RECORD_STRUCT) -> array:
+    """Decode a whole number of packed ``row`` structs into a block."""
     block = array("q")
     if NATIVE_FAST_PACK:
         block.frombytes(raw)
     else:
-        for fields in RECORD_STRUCT.iter_unpack(raw):
+        for fields in row.iter_unpack(raw):
             block.extend(fields)
     return block
 

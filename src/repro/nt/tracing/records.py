@@ -95,6 +95,8 @@ class TraceEventKind(enum.IntEnum):
 
 
 N_EVENT_KINDS = len(TraceEventKind)
+# Event-kind names indexed by kind value (the values run 0..53).
+KIND_NAMES = tuple(kind.name for kind in TraceEventKind)
 
 _IRP_KIND_BY_MAJOR = {
     IrpMajor.CREATE: TraceEventKind.IRP_CREATE,

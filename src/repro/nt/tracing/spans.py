@@ -17,10 +17,16 @@ Propagation is a context slot — a per-machine span stack on
 engine stays deterministic: a machine produces the same span log whether
 it simulates inline or in a worker process.
 
-Each finished span lands in the collector's span log as a fixed-layout
-:class:`SpanRecord`; the trace store serialises the log as format v3
-(:mod:`repro.nt.tracing.store`), and :func:`chrome_trace_events` exports
-it as Chrome trace-event JSON for Perfetto viewing.
+Each finished span lands in the collector's span log as one row of
+:data:`SPAN_FIELDS` int64 fields, appended flat to a staged
+``array('q')`` in :class:`SpanRecord` field order, the same order as
+:data:`SPAN_STRUCT`: like a trace record, no per-span object outlives
+the dispatch.  The trace store packs the log verbatim as format v3
+(:mod:`repro.nt.tracing.store`), the attribution analysis reads it as
+numpy rows, and :func:`chrome_trace_events` exports it as Chrome
+trace-event JSON for Perfetto viewing.  :class:`SpanRecord` is the
+materialised view of one row, built only when a caller asks for
+``TraceCollector.span_records``.
 
 Causes partition the recorded work six ways (the §9–10 breakdown
 ``repro.analysis.attribution`` reports):
@@ -93,8 +99,6 @@ SPAN_DECLINED = 0x4    # FastIO call the driver declined (no record)
 # Annotation spans (layers other than IO) have no event kind.
 NO_OP = -1
 
-SPAN_STRUCT = struct.Struct("<11q")
-
 
 @dataclass(frozen=True)
 class SpanRecord:
@@ -139,8 +143,13 @@ class SpanRecord:
         return bool(self.flags & SPAN_BACKGROUND)
 
 
+# One staged span row: SpanRecord's fields, in __slots__ order, as int64.
+SPAN_FIELDS = len(SpanRecord.__slots__)
+SPAN_STRUCT = struct.Struct(f"<{SPAN_FIELDS}q")
+
+
 class _OpenSpan:
-    """A span still on the stack; becomes a SpanRecord at ``end``."""
+    """A span still on the stack; becomes a span-log row at ``end``."""
 
     __slots__ = ("span_id", "parent_id", "activity_id", "layer", "op",
                  "cause", "t_begin", "nbytes", "flags")
@@ -172,6 +181,7 @@ class SpanTracer:
         self.machine = machine
         self.collector = collector
         self.enabled = enabled
+        self._log = collector.span_log
         self._stack: list[_OpenSpan] = []
         self._next_id = 1
 
@@ -197,17 +207,16 @@ class SpanTracer:
         return span
 
     def end(self, span: _OpenSpan, status: int = 0) -> None:
-        """Close a span (must be the innermost open one) and log it."""
+        """Close a span (must be the innermost open one) and append its
+        row to the collector's span log."""
         top = self._stack.pop()
         if top is not span:  # pragma: no cover - programming error guard
             raise RuntimeError("span stack imbalance: closing a span that "
                                "is not the innermost open one")
-        self.collector.receive_span(SpanRecord(
-            span_id=span.span_id, parent_id=span.parent_id,
-            activity_id=span.activity_id, layer=span.layer, op=span.op,
-            cause=span.cause, t_begin=span.t_begin,
-            t_end=self.machine.clock.now, nbytes=span.nbytes,
-            status=int(status), flags=span.flags))
+        self._log.extend((
+            span.span_id, span.parent_id, span.activity_id, span.layer,
+            span.op, span.cause, span.t_begin, self.machine.clock.now,
+            span.nbytes, status, span.flags))
 
     # ------------------------------------------------------------------ #
     # I/O manager hooks.

@@ -11,9 +11,13 @@ file, so studies can be archived and re-analysed without re-simulation.
 The record section is the collector's staged columnar blocks, packed
 verbatim (:mod:`repro.nt.tracing.fastbuf`) and decoded back into one
 staged block; records become :class:`TraceRecord` dataclasses only when
-analysis asks.  Each section has one reader, shared by the whole-file
-decoder and the streaming readers, and damage raises ``ValueError``
-naming the file.
+analysis asks.  The span section is packed and decoded the same way,
+straight from and into the collector's staged span log.  Each section
+has one reader, shared by the whole-file decoder and the streaming
+readers, and damage raises ``ValueError`` naming the file: a truncated
+or overlong payload, a record kind outside the 54 event kinds, or a span
+log that breaks the tracer's invariants (unique span ids, each parent an
+earlier span, a known cause).
 """
 
 from __future__ import annotations
@@ -25,11 +29,28 @@ from array import array
 from pathlib import Path
 from typing import BinaryIO, Union
 
+import numpy as np
+
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.fastbuf import RECORD_STRUCT, pack_block, unpack_block
-from repro.nt.tracing.records import NameRecord, TraceRecord
+from repro.nt.tracing.fastbuf import (
+    RECORD_FIELDS,
+    RECORD_STRUCT,
+    pack_block,
+    unpack_block,
+)
+from repro.nt.tracing.records import (
+    N_EVENT_KINDS,
+    RECORD_COLUMNS,
+    NameRecord,
+    TraceRecord,
+)
 from repro.nt.tracing.snapshot import SnapshotRecord
-from repro.nt.tracing.spans import SPAN_STRUCT, SpanRecord
+from repro.nt.tracing.spans import (
+    SPAN_FIELDS,
+    SPAN_STRUCT,
+    SpanCause,
+    SpanRecord,
+)
 
 # Header layout: 7-byte magic prefix, one ASCII-digit format version byte,
 # then a little-endian u64 payload length.  The original format spelled the
@@ -52,6 +73,10 @@ _SNAP = struct.Struct("<?5q3q")  # is_dir + size/time fields + counts/depth
 _INFLATE_CHUNK = 1 << 16
 # Trace records decoded per read when streaming a record section.
 _STREAM_BATCH = 1 << 12
+_KIND = RECORD_COLUMNS.index("kind")
+_SPAN_ID, _PARENT_ID, _CAUSE = (
+    SpanRecord.__slots__.index(name)
+    for name in ("span_id", "parent_id", "cause"))
 
 
 def _write_str(buf: BinaryIO, text: str) -> None:
@@ -106,16 +131,14 @@ def pack_collector(collector: TraceCollector) -> bytes:
                 0))
             _write_str(buf, s.path)
             _write_str(buf, s.extension)
-    # Causal spans (format v3).  The section is *omitted* when the log is
-    # empty rather than written with a zero count, so a spans-disabled
-    # collector packs byte-for-byte like a v2 one — the differential
-    # guarantee the parallel transport and archive tests rely on.
-    if collector.span_records:
-        buf.write(_U64.pack(len(collector.span_records)))
-        for s in collector.span_records:
-            buf.write(SPAN_STRUCT.pack(
-                s.span_id, s.parent_id, s.activity_id, s.layer, s.op,
-                s.cause, s.t_begin, s.t_end, s.nbytes, s.status, s.flags))
+    # Causal spans (format v3), packed straight from the staged log.  The
+    # section is *omitted* when the log is empty rather than written with
+    # a zero count, so a spans-disabled collector packs byte-for-byte like
+    # a v2 one — the differential guarantee the parallel transport and
+    # archive tests rely on.
+    if collector.n_spans:
+        buf.write(_U64.pack(collector.n_spans))
+        buf.write(pack_block(collector.span_log, SPAN_STRUCT))
     return buf.getvalue()
 
 
@@ -196,6 +219,52 @@ def _read_str(reader: _Reader) -> str:
         raise ValueError(f"{reader.source}: corrupt string: {exc}") from None
 
 
+def _check_kinds(source, kinds: np.ndarray) -> None:
+    """Refuse record kinds outside the event-kind range (one array pass)."""
+    bad = (kinds < 0) | (kinds >= N_EVENT_KINDS)
+    if bad.any():
+        raise ValueError(
+            f"{source}: record kind {kinds[bad][0]} is not one of the "
+            f"{N_EVENT_KINDS} trace event kinds")
+
+
+def _read_record_block(reader: _Reader, n_records: int) -> array:
+    """The next ``n_records`` records as one checked staged block."""
+    block = unpack_block(reader.read(n_records * RECORD_STRUCT.size))
+    _check_kinds(reader.source,
+                 np.frombuffer(block, dtype=np.int64)[_KIND::RECORD_FIELDS])
+    return block
+
+
+def _read_span_log(reader: _Reader) -> array:
+    """The span section as a staged log, checked against the tracer's
+    invariants: span ids are unique, each ``parent_id`` is 0 (a root) or
+    below the span's own id, and each cause is a :class:`SpanCause`.  The
+    analyses walk parent chains, so a cycle must never get past here."""
+    n_spans = _read_u64(reader)
+    log = unpack_block(reader.read(n_spans * SPAN_STRUCT.size), SPAN_STRUCT)
+    rows = np.frombuffer(log, dtype=np.int64).reshape(-1, SPAN_FIELDS)
+    ids, parents, causes = rows[:, _SPAN_ID], rows[:, _PARENT_ID], \
+        rows[:, _CAUSE]
+    bad = (parents < 0) | (parents >= ids)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"{reader.source}: span {ids[i]} names parent {parents[i]}, "
+            f"which is neither 0 nor an id below its own")
+    sorted_ids = np.sort(ids)
+    repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if len(repeated):
+        raise ValueError(
+            f"{reader.source}: span id {repeated[0]} appears more than once")
+    bad = (causes < 0) | (causes >= len(SpanCause))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"{reader.source}: span {ids[i]} has unknown cause {causes[i]}")
+    return log
+
+
 def _read_prologue(reader: _Reader) -> tuple[str, int]:
     """(machine name, trace record count): the payload's first section."""
     name = _read_str(reader)
@@ -255,8 +324,7 @@ def _unpack(reader: _Reader) -> TraceCollector:
     name, n_records = _read_prologue(reader)
     collector = TraceCollector(name)
     if n_records:
-        collector.receive_block(
-            unpack_block(reader.read(n_records * RECORD_STRUCT.size)))
+        collector.receive_block(_read_record_block(reader, n_records))
     collector.name_records.extend(_read_names(reader))
     process_names, process_interactive = _read_processes(reader)
     collector.process_names.update(process_names)
@@ -265,10 +333,7 @@ def _unpack(reader: _Reader) -> TraceCollector:
     # Optional trailing span section: v1/v2 payloads end exactly after the
     # snapshots, so any remaining bytes are the v3 span log.
     if not reader.at_end():
-        n_spans = _read_u64(reader)
-        collector.span_records.extend(
-            SpanRecord(*fields) for fields in SPAN_STRUCT.iter_unpack(
-                reader.read(n_spans * SPAN_STRUCT.size)))
+        collector.span_log.extend(_read_span_log(reader))
         if not reader.at_end():
             raise ValueError(
                 f"{reader.source}: stray bytes after the span log")
@@ -288,7 +353,7 @@ def save_collector(collector: TraceCollector,
     writes v2, keeping spans-disabled archives byte-identical to the
     pre-span writer's output.
     """
-    version = (STORE_FORMAT_VERSION if collector.span_records
+    version = (STORE_FORMAT_VERSION if collector.n_spans
                else _SPANLESS_FORMAT_VERSION)
     payload = zlib.compress(pack_collector(collector), level=6)
     data = (_MAGIC_PREFIX + b"%d" % version
@@ -399,6 +464,8 @@ class StoreStream:
             batch = min(self._records_left, _STREAM_BATCH)
             raw = self._reader.read(batch * RECORD_STRUCT.size)
             self._records_left -= batch
+            _check_kinds(self.path, np.frombuffer(raw, dtype="<i8")[
+                _KIND::RECORD_FIELDS])
             for fields in RECORD_STRUCT.iter_unpack(raw):
                 if wanted is None or fields[0] in wanted:
                     yield TraceRecord(*fields)
@@ -407,7 +474,7 @@ class StoreStream:
         """The unread records as one staged ``array('q')`` block, in the
         collector's columnar layout (:mod:`repro.nt.tracing.fastbuf`)."""
         n, self._records_left = self._records_left, 0
-        return unpack_block(self._reader.read(n * RECORD_STRUCT.size))
+        return _read_record_block(self._reader, n)
 
     def tail_sections(self):
         """(name records, process names, process interactivity) after the

@@ -171,7 +171,7 @@ def _archive_machine(directory: Optional[Path], artifact) -> ArchivedMachine:
         nbytes = save_collector(
             collector, directory / f"{collector.machine_name}.nttrace")
     return ArchivedMachine(name=artifact.name, records=len(collector),
-                           spans=len(collector.span_records), nbytes=nbytes,
+                           spans=collector.n_spans, nbytes=nbytes,
                            perf=artifact.perf, metrics=artifact.metrics)
 
 

@@ -27,7 +27,8 @@ from repro.nt.tracing.fastbuf import (
     records_from_block,
     unpack_block,
 )
-from repro.nt.tracing.records import TraceRecord
+from repro.nt.tracing.records import N_EVENT_KINDS, TraceRecord
+from repro.nt.tracing.spans import SPAN_FIELDS, SPAN_STRUCT
 from repro.nt.tracing.store import (
     iter_trace_records,
     load_collector,
@@ -52,6 +53,12 @@ def _random_row(rng: random.Random) -> tuple:
         else:
             fields.append(rng.randrange(0, 2 ** 32))
     return tuple(fields)
+
+
+def _archivable_row(rng: random.Random) -> tuple:
+    """A random row whose kind is one of the event kinds, which every
+    store decoder checks; the other 14 fields are as random as ever."""
+    return (rng.randrange(N_EVENT_KINDS), *_random_row(rng)[1:])
 
 
 def _buffered(rows, capacity):
@@ -93,7 +100,7 @@ def test_random_streams_round_trip_identically(seed):
 def test_archive_round_trip_through_store(seed, tmp_path):
     """fastbuf -> store encoder -> both store decoders == dataclasses."""
     rng = random.Random(100 + seed)
-    rows = [_random_row(rng) for _ in range(rng.randrange(1, 400))]
+    rows = [_archivable_row(rng) for _ in range(rng.randrange(1, 400))]
     collector, buf = _buffered(rows, capacity=64)
     buf.drain()
     (path,) = save_study([collector], tmp_path)
@@ -152,3 +159,19 @@ def test_pack_block_matches_struct_packing(seed, monkeypatch):
         assert pack_block(block) == explicit
         assert unpack_block(explicit) == block
     assert records_from_block(block) == [TraceRecord(*row) for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pack_block_by_span_struct(seed, monkeypatch):
+    """The same two paths pack and decode span-log rows by SPAN_STRUCT."""
+    rng = random.Random(300 + seed)
+    rows = [_random_row(rng)[:SPAN_FIELDS]
+            for _ in range(rng.randrange(1, 50))]
+    log = array("q")
+    for row in rows:
+        log.extend(row)
+    explicit = b"".join(struct.pack("<11q", *row) for row in rows)
+    for native in (fastbuf.NATIVE_FAST_PACK, False):
+        monkeypatch.setattr(fastbuf, "NATIVE_FAST_PACK", native)
+        assert pack_block(log, SPAN_STRUCT) == explicit
+        assert unpack_block(explicit, SPAN_STRUCT) == log

@@ -41,7 +41,8 @@ from repro.cli import main as cli_main
 from repro.nt.tracing import collector as collector_module
 from repro.nt.tracing import fastbuf, store
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.records import TraceEventKind, TraceRecord
+from repro.nt.tracing.records import (N_EVENT_KINDS, TraceEventKind,
+                                      TraceRecord)
 from repro.nt.tracing.store import (
     StoreStream,
     iter_trace_records,
@@ -213,6 +214,16 @@ class TestUnreplayableRecords:
         assert report.total_skipped == 2
         assert "unreplayable IRP_CREATE: 1 (no name record)" in \
             report.format()
+
+    @pytest.mark.parametrize("kind", [-1, -N_EVENT_KINDS, N_EVENT_KINDS, 99])
+    def test_out_of_range_kind_raises_without_wrapping(self, kind):
+        # An in-memory source skips the decoders' kind check; injection
+        # refuses the kind instead of indexing a dispatch table with it.
+        source = TraceCollector("m00-bad-kind")
+        source.receive_block(array("q", _row(kind)))
+        with pytest.raises(ValueError,
+                           match=f"^{kind} is not a valid TraceEventKind$"):
+            replay_collector(source)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="replay mode"):

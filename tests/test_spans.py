@@ -1,14 +1,33 @@
 """Causal span tracing: off-by-default differential, parenting and
 causes, exact reconciliation with the trace store, serial-vs-parallel
-identity, Chrome export, and the CLI surface."""
+identity, Chrome export, and the CLI surface.
 
-import dataclasses
+The attribution analyses read the staged span log as numpy rows.  The
+per-span loops they replaced live on here as the reference oracle
+(:func:`_reference_attribution`, :func:`_reference_reconcile`,
+:func:`_reference_critical_path`), and a Hypothesis property holds the
+columnar functions equal to them on random span forests."""
+
+import hashlib
+import itertools
 import json
+import re
+import subprocess
+import sys
+from array import array
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import StudyConfig, run_study
+from repro.analysis import attribution
 from repro.analysis.attribution import (
+    DATA_PATH_KINDS,
+    CriticalPathTable,
+    PathRow,
     attribution_table,
     critical_path_table,
     reconcile_attribution,
@@ -16,20 +35,32 @@ from repro.analysis.attribution import (
 from repro.cli import main as cli_main
 from repro.nt.fs.volume import Volume
 from repro.nt.system import Machine, MachineConfig
-from repro.nt.tracing.records import TraceEventKind
+from repro.nt.tracing.collector import TraceCollector
+from repro.nt.tracing.fastbuf import RECORD_FIELDS
+from repro.nt.tracing.records import (N_EVENT_KINDS, RECORD_COLUMNS,
+                                      TraceEventKind)
 from repro.nt.tracing.spans import (
+    NO_OP,
+    SPAN_BACKGROUND,
+    SPAN_DECLINED,
+    SPAN_FIELDS,
+    SPAN_RECORDED,
     SpanCause,
     SpanLayer,
+    SpanRecord,
     chrome_trace_events,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.nt.tracing.store import (pack_collector, save_study,
+from repro.nt.tracing.store import (load_collector, pack_collector,
+                                    save_collector, save_study,
                                     unpack_collector)
 
 from tests.conftest import make_file
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 _STUDY = dict(n_machines=3, duration_seconds=20, seed=5, content_scale=0.1)
+_NBYTES = SpanRecord.__slots__.index("nbytes")
 
 
 @pytest.fixture(scope="module")
@@ -178,16 +209,18 @@ class TestReconciliation:
         # record side computed from the trace records themselves.
         collector = unpack_collector(pack_collector(study_on.collectors[0]))
         records = collector.records
-        spans = collector.span_records
+        log = collector.span_log
 
         def first(kind):
-            return next(i for i, s in enumerate(spans)
+            """Offset of the first recorded ``kind`` span's row in the log."""
+            return next(i * SPAN_FIELDS
+                        for i, s in enumerate(collector.span_records)
                         if s.recorded and s.op == kind)
 
-        read = first(TraceEventKind.IRP_READ)
-        spans[read] = dataclasses.replace(spans[read],
-                                          nbytes=spans[read].nbytes + 7)
-        dropped = spans.pop(first(TraceEventKind.IRP_CREATE))
+        log[first(TraceEventKind.IRP_READ) + _NBYTES] += 7
+        create = first(TraceEventKind.IRP_CREATE)
+        dropped = SpanRecord(*log[create:create + SPAN_FIELDS])
+        del log[create:create + SPAN_FIELDS]
         fresh = unpack_collector(pack_collector(collector))
 
         def side(kind):
@@ -391,3 +424,308 @@ class TestPerfCliStrictness:
     def test_perf_archive_without_perf_json_exits_nonzero(self, tmp_path):
         with pytest.raises(SystemExit, match="no perf.json"):
             cli_main(["perf", str(tmp_path)])
+
+
+# --------------------------------------------------------------------- #
+# The per-span reference oracle: the loops the columnar analyses replaced.
+
+def _reference_attribution(collectors) -> dict:
+    """{cause: (recorded ops, bytes)}, one span at a time."""
+    sides = {cause: [0, 0] for cause in SpanCause}
+    for collector in collectors:
+        for span in collector.span_records:
+            if not span.recorded:
+                continue
+            side = sides[SpanCause(span.cause)]
+            side[0] += 1
+            side[1] += span.nbytes
+    return {cause: tuple(side) for cause, side in sides.items()}
+
+
+def _reference_reconcile(collector) -> dict:
+    record_counts, record_bytes = Counter(), Counter()
+    for record in collector.records:
+        record_counts[record.kind] += 1
+        record_bytes[record.kind] += record.length
+    span_counts, span_bytes = Counter(), Counter()
+    for span in collector.span_records:
+        if span.recorded:
+            span_counts[span.op] += 1
+            span_bytes[span.op] += span.nbytes
+    problems = {}
+    for kind in sorted(set(record_counts) | set(span_counts)):
+        recs = (record_counts[kind], record_bytes[kind])
+        spans = (span_counts[kind], span_bytes[kind])
+        if recs != spans:
+            problems[TraceEventKind(kind).name] = {"records": recs,
+                                                   "spans": spans}
+    return problems
+
+
+def _reference_decompose(spans, rows) -> None:
+    wanted = {int(kind) for kind in DATA_PATH_KINDS}
+    by_id = {span.span_id: span for span in spans}
+    roots = {}
+    for span in spans:
+        if span.is_root and span.op in wanted and span.recorded:
+            roots[span.span_id] = rows[TraceEventKind(span.op)]
+    for span in spans:
+        if span.is_root:
+            row = roots.get(span.span_id)
+            if row is not None:
+                row.n += 1
+                row.total_ticks += span.duration
+            continue
+        row = roots.get(span.parent_id)
+        if row is None:
+            continue
+        if span.flags & SPAN_BACKGROUND:
+            row.overlapped_ticks += span.duration
+        else:
+            row.sync_ticks += span.duration
+    for span in spans:
+        if span.cause != int(SpanCause.DEVICE):
+            continue
+        row = roots.get(span.activity_id)
+        if row is None:
+            continue
+        background = False
+        cursor = span
+        while cursor.parent_id != 0:
+            parent = by_id.get(cursor.parent_id)
+            if parent is None:
+                break
+            if parent.flags & SPAN_BACKGROUND:
+                background = True
+                break
+            cursor = parent
+        if background:
+            row.device_overlapped_ticks += span.duration
+        else:
+            row.device_ticks += span.duration
+
+
+def _reference_critical_path(collectors) -> CriticalPathTable:
+    table = CriticalPathTable(
+        rows={kind: PathRow(kind) for kind in DATA_PATH_KINDS},
+        n_machines=len(collectors))
+    for collector in collectors:
+        _reference_decompose(collector.span_records, table.rows)
+    return table
+
+
+_DATA_OPS = [int(kind) for kind in DATA_PATH_KINDS]
+_RECORD_KIND, _RECORD_LENGTH = (RECORD_COLUMNS.index(name)
+                                 for name in ("kind", "length"))
+# Weighted toward what the decomposition looks at: I/O spans, data-path
+# ops and device time.
+_LAYERS = (SpanLayer.IO,) * 3 + tuple(SpanLayer)[1:]
+_CAUSES = (SpanCause.DEVICE,) + tuple(SpanCause)
+
+
+@st.composite
+def _span_log(draw) -> list[tuple]:
+    """One machine's span rows, in a shuffled order: ids with gaps;
+    parents that are 0, the previous span (deep chains) or any lower id,
+    logged or not; activities inherited where the parent is logged and
+    any earlier activity where it is not; random causes and flags on
+    every layer."""
+    n = draw(st.integers(0, 30))
+    ids = list(itertools.accumulate(
+        draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))))
+    activity: dict[int, int] = {}
+    rows = []
+    for i, span_id in enumerate(ids):
+        shape = draw(st.sampled_from(("root", "previous", "previous", "any")))
+        if shape == "root" or span_id == 1:
+            parent = 0
+        elif shape == "previous" and i:
+            parent = ids[i - 1]
+        else:
+            parent = draw(st.integers(1, span_id - 1))
+        if parent == 0:
+            activity[span_id] = span_id
+        elif parent in activity:
+            activity[span_id] = activity[parent]
+        else:
+            activity[span_id] = draw(st.sampled_from(
+                [0, *sorted(set(activity.values()))]))
+        layer = draw(st.sampled_from(_LAYERS))
+        if layer == SpanLayer.IO:
+            op = draw(st.one_of(st.sampled_from(_DATA_OPS),
+                                st.integers(0, N_EVENT_KINDS - 1)))
+            flags = draw(st.integers(
+                0, SPAN_RECORDED | SPAN_BACKGROUND | SPAN_DECLINED))
+        else:
+            op = NO_OP
+            flags = draw(st.sampled_from((0, SPAN_BACKGROUND)))
+        t_begin = draw(st.integers(0, 10 ** 9))
+        rows.append((span_id, parent, activity[span_id], int(layer), op,
+                     int(draw(st.sampled_from(_CAUSES))), t_begin,
+                     t_begin + draw(st.integers(0, 10 ** 6)),
+                     draw(st.integers(0, 1 << 24)),
+                     draw(st.integers(0, 0xC0000100)), flags))
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def _machine(draw) -> TraceCollector:
+    """A collector holding a random span log and trace records that match
+    its recorded spans, less a dropped prefix, plus a few strays."""
+    rows = draw(_span_log())
+    recorded = [(row[4], row[8]) for row in rows if row[10] & SPAN_RECORDED]
+    records = recorded[draw(st.integers(0, len(recorded))):] + draw(
+        st.lists(st.tuples(st.integers(0, N_EVENT_KINDS - 1),
+                           st.integers(0, 1 << 24)), max_size=3))
+    collector = TraceCollector("m00-random")
+    for row in rows:
+        collector.span_log.extend(row)
+    block = array("q")
+    for kind, length in records:
+        fields = [0] * RECORD_FIELDS
+        fields[_RECORD_KIND], fields[_RECORD_LENGTH] = kind, length
+        block.extend(fields)
+    if block:
+        collector.receive_block(block)
+    return collector
+
+
+@settings(max_examples=300, deadline=None)
+@given(collectors=st.lists(_machine(), max_size=3))
+def test_columnar_attribution_matches_per_span_reference(collectors):
+    table = attribution_table(collectors)
+    assert ({cause: (row.ops, row.nbytes)
+             for cause, row in table.rows.items()}
+            == _reference_attribution(collectors))
+    paths = critical_path_table(collectors)
+    assert paths.rows == _reference_critical_path(collectors).rows
+    problems = [reconcile_attribution(c) for c in collectors]
+    assert problems == [_reference_reconcile(c) for c in collectors]
+    values = [v for row in table.rows.values() for v in (row.ops, row.nbytes)]
+    values += [getattr(row, name) for row in paths.rows.values()
+               for name in ("n", "total_ticks", "sync_ticks",
+                            "overlapped_ticks", "device_ticks",
+                            "device_overlapped_ticks")]
+    values += [v for sides in problems for pair in sides.values()
+               for side in pair.values() for v in side]
+    assert all(type(v) is int for v in values)
+
+
+# --------------------------------------------------------------------- #
+# The decoder checks the tracer's invariants, so no parent chain loops.
+
+def _cyclic_collector() -> TraceCollector:
+    """A device span that is its own parent, whose activity names a
+    recorded FASTIO_READ root."""
+    collector = TraceCollector("m00-cyclic")
+    collector.span_log.extend((
+        1, 0, 1, SpanLayer.IO, TraceEventKind.FASTIO_READ, SpanCause.USER,
+        0, 50, 4096, 0, SPAN_RECORDED))
+    collector.span_log.extend((
+        2, 2, 1, SpanLayer.STORAGE, NO_OP, SpanCause.DEVICE, 10, 40, 4096,
+        0, 0))
+    return collector
+
+
+class TestSpanLogDecodeChecks:
+    def test_parent_cycle_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "m00-cyclic.nttrace"
+        save_collector(_cyclic_collector(), path)
+        with pytest.raises(ValueError, match=re.escape(str(path))
+                           + r": span 2 names parent 2"):
+            load_collector(path)
+
+    @pytest.mark.parametrize("second, message", [
+        ({"parent_id": 7}, "span 2 names parent 7"),
+        ({"parent_id": -1}, "span 2 names parent -1"),
+        ({"span_id": 1, "parent_id": 0}, "span id 1 appears more than once"),
+        ({"cause": len(SpanCause)},
+         f"span 2 has unknown cause {len(SpanCause)}"),
+        ({"cause": -1}, "span 2 has unknown cause -1"),
+    ])
+    def test_broken_invariant_rejected_naming_the_file(
+            self, tmp_path, second, message):
+        # The second span, made a valid child of the root, then broken.
+        collector = _cyclic_collector()
+        log = collector.span_log
+        for field, value in {"parent_id": 1, **second}.items():
+            log[SPAN_FIELDS + SpanRecord.__slots__.index(field)] = value
+        path = tmp_path / "m00-broken.nttrace"
+        save_collector(collector, path)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: {message}")):
+            load_collector(path)
+
+    def test_valid_log_round_trips(self, tmp_path):
+        collector = _cyclic_collector()
+        collector.span_log[SPAN_FIELDS + 1] = 1
+        path = tmp_path / "m00-valid.nttrace"
+        save_collector(collector, path)
+        assert load_collector(path).span_records == collector.span_records
+
+    @pytest.mark.parametrize("command", ["attribution", "export"])
+    def test_spans_cli_exits_1_naming_the_file(self, tmp_path, command):
+        directory = tmp_path / "traces"
+        directory.mkdir()
+        path = directory / "m00-cyclic.nttrace"
+        save_collector(_cyclic_collector(), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "spans", command,
+             str(directory), *(["--out", str(tmp_path / "t.json")]
+                               if command == "export" else [])],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 1
+        assert f"{path}: span 2 names parent 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_parent_walk_is_bounded(self):
+        # A cycle that never went through the decoder still cannot hang
+        # the device-span walk: rows 0 and 1 are each other's parent.
+        with pytest.raises(ValueError, match="parent cycle"):
+            attribution._under_background(
+                np.array([1, 0]), np.zeros(2, dtype=bool), np.array([0]))
+
+
+# --------------------------------------------------------------------- #
+# Golden digests of the span commands, recorded before the span log went
+# columnar: `repro run --machines 2 --seconds 15 --seed 3 --scale 0.2
+# --spans --out spans`, then each command run from the same directory.
+
+SPAN_COMMAND_GOLDEN = {
+    "attribution_json": "4d168042ed9dcecc1814dbfe79ba5364"
+                        "0fb5186f73ea8b1b4c20cf5fbf330d76",
+    "attribution_stdout": "4924ef05de9c8429b826cbd4c10f1595"
+                          "7c0f8833f746aadad963507ac5b096e2",
+    "export_json": "fea3891650c076806f06465272134709"
+                   "bf66b566751ee4077f3615bbbd59517a",
+    "export_stdout": "df60d977f9e68e4b2c43a38001bfde59"
+                     "accb2497f6af3291ba6c15fb2fc43d30",
+}
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]],
+                         ids=["serial", "workers2"])
+def test_span_commands_match_golden(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", "--machines", "2", "--seconds", "15",
+                     "--seed", "3", "--scale", "0.2", "--spans",
+                     "--out", "spans", *workers]) == 0
+    capsys.readouterr()
+
+    def sha256(data) -> str:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        return hashlib.sha256(data).hexdigest()
+
+    assert cli_main(["spans", "attribution", "spans",
+                     "--json", "attr.json"]) == 0
+    stdout = capsys.readouterr().out
+    assert cli_main(["spans", "export", "spans", "--out", "export.json"]) == 0
+    digests = {
+        "attribution_json": sha256((tmp_path / "attr.json").read_bytes()),
+        "attribution_stdout": sha256(stdout),
+        "export_json": sha256((tmp_path / "export.json").read_bytes()),
+        "export_stdout": sha256(capsys.readouterr().out),
+    }
+    assert digests == SPAN_COMMAND_GOLDEN

@@ -17,9 +17,10 @@ import zlib
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.records import NameRecord, TraceRecord
-from repro.nt.tracing.spans import SPAN_RECORDED, SpanRecord
+from repro.nt.tracing.records import N_EVENT_KINDS, NameRecord, TraceRecord
+from repro.nt.tracing.spans import SPAN_RECORDED
 from repro.nt.tracing.store import (STORE_FORMAT_VERSION,
                                     SUPPORTED_FORMAT_VERSIONS,
                                     StoreStream, iter_trace_records,
@@ -49,10 +50,10 @@ def _collector(n_records: int = 5) -> TraceCollector:
 def _spanned_collector() -> TraceCollector:
     collector = _collector()
     for i, rec in enumerate(collector.records, start=1):
-        collector.receive_span(SpanRecord(
-            span_id=i, parent_id=0, activity_id=i, layer=0, op=rec.kind,
-            cause=0, t_begin=rec.t_start, t_end=rec.t_end,
-            nbytes=rec.length, status=rec.status, flags=SPAN_RECORDED))
+        # One root span row per record, in SpanRecord field order.
+        collector.span_log.extend((
+            i, 0, i, 0, rec.kind, 0, rec.t_start, rec.t_end, rec.length,
+            rec.status, SPAN_RECORDED))
     return collector
 
 
@@ -128,12 +129,14 @@ class TestChunkedDecode:
     def test_records_straddling_inflate_chunks_decode_exactly(self, tmp_path):
         # Incompressible fields make the compressed payload span several
         # of the streaming decoder's input chunks, so records and strings
-        # straddle chunk boundaries at arbitrary offsets.
+        # straddle chunk boundaries at arbitrary offsets.  The kind stays
+        # a valid event kind, which every decoder checks.
         rng = random.Random(7)
         collector = _collector(n_records=0)
         collector.records.extend(
-            TraceRecord(*(rng.randrange(-2 ** 63, 2 ** 63)
-                          for _ in range(15)))
+            TraceRecord(rng.randrange(N_EVENT_KINDS),
+                        *(rng.randrange(-2 ** 63, 2 ** 63)
+                          for _ in range(14)))
             for _ in range(4_000))
         for i in range(300):
             collector.receive_name(NameRecord(
@@ -298,3 +301,48 @@ class TestStudyDirectories:
             save_collector(collector, tmp_path / f"{name}.nttrace")
         assert [p.stem for p in study_paths(tmp_path)] == \
             ["m00-walkup", "m01-personal", "m02-server"]
+
+
+class TestOutOfRangeKinds:
+    """A record kind outside the 54 event kinds is refused, naming the
+    file, by every decoder that yields record rows and so by every
+    command that reads an archive."""
+
+    @pytest.fixture(params=[99, -1])
+    def archive(self, request, tmp_path):
+        collector = _collector()
+        collector.records.append(TraceRecord(
+            kind=request.param, fo_id=1, pid=8, t_start=600, t_end=650,
+            status=0, irp_flags=0, offset=0, length=0, returned=0,
+            file_size=0, disposition=0, options=0, attributes=0, info=0))
+        directory = tmp_path / "traces"
+        directory.mkdir()
+        path = directory / f"{collector.machine_name}.nttrace"
+        save_collector(collector, path)
+        return path, request.param
+
+    def test_decoders_name_the_file(self, archive):
+        path, kind = archive
+        message = re.escape(f"{path}: record kind {kind} is not one of "
+                            f"the {N_EVENT_KINDS} trace event kinds")
+        with pytest.raises(ValueError, match=message):
+            load_collector(path)
+        with pytest.raises(ValueError, match=message):
+            StoreStream(path).record_block()
+        with pytest.raises(ValueError, match=message):
+            list(iter_trace_records(path))
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "{traces}"],
+        ["report", "{traces}", "--streaming"],
+        ["replay", "--traces", "{traces}"],
+        ["whatif", "--traces", "{traces}", "--grid", "devices=ssd"],
+    ], ids=["report", "report-streaming", "replay", "whatif"])
+    def test_command_exits_naming_the_file(self, archive, argv, capsys):
+        path, kind = archive
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([arg.format(traces=path.parent) for arg in argv])
+        assert exit_info.value.code == (
+            f"{path}: record kind {kind} is not one of the "
+            f"{N_EVENT_KINDS} trace event kinds")
+        assert capsys.readouterr().out == ""

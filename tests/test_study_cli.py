@@ -264,6 +264,15 @@ class TestStudyCli:
         "perf --machines 0",
         "perf --machines 1 --seconds 1e400",
         "perf --machines 1 --scale nan",
+        # Finite, but past the int64 tick horizon.
+        "run --machines 1 --seconds 1e302",
+        "study --machines 1 --seconds 1e302",
+        "study --machines 1 --weeks 1e300",
+        "perf --machines 1 --seconds 1e302",
+        # The memory budget is a finite size above zero.
+        "study --machines 1 --seconds 1 --max-peak-mb nan",
+        "study --machines 1 --seconds 1 --max-peak-mb 0",
+        "study --machines 1 --seconds 1 --max-peak-mb -3",
     ])
     def test_bad_fleet_shape_is_a_usage_error(self, argv, capsys):
         # The last flag of each case is the bad one.

@@ -19,6 +19,7 @@ Three layers, mirroring ``test_replay.py``:
 
 from __future__ import annotations
 
+import enum
 import json
 import subprocess
 import sys
@@ -29,8 +30,12 @@ import pytest
 
 from repro import StudyConfig, run_study
 from repro.cli import main as cli_main
+from repro.common.flags import CreateDisposition, CreateOptions, IrpFlags
 from repro.nt.fs.volume import Volume
+from repro.nt.io.fastio import FastIoOp
 from repro.nt.system import Machine, MachineConfig
+from repro.nt.tracing.records import TraceEventKind
+from repro.nt.tracing.spans import SpanRecord
 from repro.nt.tracing.store import pack_collector, save_study, study_paths
 from repro.replay import ReplayConfig, replay_archive
 from repro.replay.whatif import (
@@ -118,6 +123,30 @@ class TestSweep:
         again = whatif_sweep(archive, parse_grid(self.GRID),
                              ReplayConfig(seed=11))
         assert loads == Counter(str(p) for p in study_paths(archive))
+        assert again.to_dict() == report.to_dict()
+
+    def test_sweep_builds_no_span_record_or_kind_enum(self, archive, report,
+                                                     monkeypatch):
+        # Spans stay staged int64 rows and record kinds stay ints, so no
+        # cell builds a SpanRecord or any of the enums injection once
+        # built for every replayed record.
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the sweep built a SpanRecord")
+
+        forbidden = (TraceEventKind, IrpFlags, FastIoOp, CreateDisposition,
+                     CreateOptions)
+        construct = enum.EnumType.__call__
+
+        def guarded(cls, *args, **kwargs):
+            if cls in forbidden:
+                raise AssertionError(f"the sweep built a {cls.__name__}")
+            return construct(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SpanRecord, "__init__", refuse)
+        monkeypatch.setattr(enum.EnumType, "__call__", guarded)
+        again = whatif_sweep(archive, parse_grid(self.GRID),
+                             ReplayConfig(seed=11))
+        monkeypatch.undo()
         assert again.to_dict() == report.to_dict()
 
     def test_core_counts_exact_in_every_cell(self, report):
