@@ -17,11 +17,13 @@ from benchmarks.conftest import print_header, print_row
 def _instrumentation_stats(study, warehouse):
     per_machine_rates = []
     for collector in study.collectors:
-        if not collector.records:
+        # .records builds a fresh list on every access: read it once.
+        records = collector.records
+        if not records:
             continue
-        t = np.asarray([r.t_start for r in collector.records])
+        t = np.asarray([r.t_start for r in records])
         span = (t.max() - t.min()) / 1e7
-        per_machine_rates.append(len(collector.records) / max(span, 1e-9))
+        per_machine_rates.append(len(records) / max(span, 1e-9))
     distinct_kinds = len(np.unique(warehouse.kind))
     return per_machine_rates, distinct_kinds
 

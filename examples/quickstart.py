@@ -52,7 +52,7 @@ def main() -> None:
     machine.run_until(machine.clock.now + 3 * TICKS_PER_SECOND)
     collector = machine.finish_tracing()
 
-    print(f"\n{len(collector.records)} trace records, "
+    print(f"\n{len(collector)} trace records, "
           f"{len(collector.name_records)} name records")
     kinds = Counter(TraceEventKind(r.kind).name for r in collector.records)
     for kind, count in kinds.most_common():

@@ -20,7 +20,6 @@ from repro.nt.tracing.records import (
     RECORD_COLUMNS,
     TraceEventKind,
     extension_of,
-    record_row,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,15 +46,13 @@ def block_rows(block) -> np.ndarray:
 def record_rows(collector: TraceCollector) -> np.ndarray:
     """A collector's trace records as an (n, 15) int64 array.
 
-    Staged blocks are read in place, so loading a warehouse or folding a
-    sketch allocates no per-record objects; only records that analysis
-    already materialised are converted back field by field.
+    The staged blocks are read in place, so loading a warehouse or
+    folding a sketch allocates no per-record objects.
     """
-    records, blocks = collector.record_chunks()
-    parts = [np.array([record_row(r) for r in records],
-                      dtype=np.int64).reshape(-1, _N_FIELDS)]
-    parts.extend(block_rows(block) for block in blocks)
-    return np.concatenate(parts)
+    blocks = collector.blocks
+    if not blocks:
+        return np.zeros((0, _N_FIELDS), dtype=np.int64)
+    return np.concatenate([block_rows(block) for block in blocks])
 
 
 @dataclass(frozen=True)

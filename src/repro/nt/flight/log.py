@@ -25,11 +25,16 @@ almost nothing:
 * ``END``     — ``u8 tag=3, u64 n_samples`` — redundancy check against
   the section header, so truncated streams are detected.
 
-Like the trace store, readers inflate incrementally (the decompressed
-stream is never materialised whole) and every malformed-input error is a
-:class:`ValueError` naming the offending file.  This module is on the
-analysis read-side whitelist (verifier rule L501): it depends only on
-the standard library, never on live kernel state.
+Each section's frame stream decodes through the trace store's reader
+(:func:`repro.nt.tracing.store.inflate` fed the section's compressed
+bytes in chunks from the file, and a
+:class:`~repro.nt.tracing.store.PayloadReader` over its output), so
+neither side is ever materialised whole, a stream that ends before its
+zlib trailer is refused, and every malformed-input error — undecodable
+section and series names included — is a :class:`ValueError` naming the
+offending file.  This module is on the analysis read-side whitelist
+(verifier rule L501): it depends only on the standard library and the
+trace store's decoder, never on live kernel state.
 """
 
 from __future__ import annotations
@@ -38,6 +43,14 @@ import struct
 import zlib
 from dataclasses import dataclass
 from typing import Iterator
+
+from repro.nt.tracing.store import (
+    INFLATE_CHUNK,
+    PayloadReader,
+    decode_utf8,
+    inflate,
+    read_str,
+)
 
 MAGIC = b"NTMETRIC"
 VERSION = 1
@@ -68,7 +81,6 @@ _ENTRY_SCALAR = struct.Struct("<Iq")        # series_id, value/delta
 _ENTRY_HIST = struct.Struct("<Iqqq")        # series_id, dcount, dsum, max
 
 _COMPRESS_LEVEL = 6
-_CHUNK = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -171,77 +183,17 @@ def write_metrics_log(sections, path) -> int:
 # --------------------------------------------------------------------- #
 # Reading.
 
-class _Inflater:
-    """Incremental zlib inflate over one section's compressed bytes.
-
-    Mirrors the trace store's streaming reader: compressed input is fed
-    in fixed chunks and decompressed output is consumed as it is
-    produced, so neither side is ever materialised whole.
-    """
-
-    def __init__(self, fh, compressed_len: int, path) -> None:
-        self._fh = fh
-        self._remaining = compressed_len
-        self._path = path
-        self._z = zlib.decompressobj()
-        self._buf = bytearray()
-        self._pos = 0
-        self._flushed = False
-
-    def read(self, n: int) -> bytes:
-        while len(self._buf) - self._pos < n:
-            if self._remaining:
-                chunk = self._fh.read(min(_CHUNK, self._remaining))
-                if not chunk:
-                    raise ValueError(
-                        f"{self._path}: truncated section (compressed "
-                        f"payload ends early)")
-                self._remaining -= len(chunk)
-                try:
-                    self._buf += self._z.decompress(chunk)
-                except zlib.error as exc:
-                    raise ValueError(
-                        f"{self._path}: corrupt zlib stream: {exc}"
-                        ) from None
-            elif not self._flushed:
-                self._flushed = True
-                self._buf += self._z.flush()
-            else:
-                raise ValueError(
-                    f"{self._path}: truncated frame stream "
-                    f"(needed {n} more bytes)")
-            if self._pos > _CHUNK:
-                del self._buf[:self._pos]
-                self._pos = 0
-        out = bytes(self._buf[self._pos:self._pos + n])
-        self._pos += n
-        return out
-
-    def at_end(self) -> bool:
-        """True when the frame stream is exhausted.
-
-        Drains any unread compressed tail (the zlib trailer usually
-        outlives the last frame) so the file position lands exactly on
-        the next section header.
-        """
-        while self._remaining:
-            chunk = self._fh.read(min(_CHUNK, self._remaining))
-            if not chunk:
-                raise ValueError(
-                    f"{self._path}: truncated section (compressed "
-                    f"payload ends early)")
-            self._remaining -= len(chunk)
-            try:
-                self._buf += self._z.decompress(chunk)
-            except zlib.error as exc:
-                raise ValueError(
-                    f"{self._path}: corrupt zlib stream: {exc}") from None
-            if len(self._buf) - self._pos:
-                return False
-        if not self._flushed:
-            self._flushed = True
-            self._buf += self._z.flush()
-        return not (len(self._buf) - self._pos)
+def _section_chunks(fh, compressed_len: int, path):
+    """The next ``compressed_len`` bytes of ``fh``, INFLATE_CHUNK at a
+    time; a file that ends first raises ``ValueError`` naming it."""
+    remaining = compressed_len
+    while remaining:
+        chunk = fh.read(min(INFLATE_CHUNK, remaining))
+        if not chunk:
+            raise ValueError(
+                f"{path}: truncated section (compressed payload ends early)")
+        remaining -= len(chunk)
+        yield chunk
 
 
 def _read_file_header(fh, path) -> int:
@@ -277,7 +229,7 @@ def _read_section_header(fh, path) -> tuple[SectionInfo, int]:
         raise ValueError(
             f"{path}: section {name.decode('utf-8', 'replace')!r} has "
             f"non-positive interval {interval_ticks}")
-    return (SectionInfo(machine_name=name.decode("utf-8"),
+    return (SectionInfo(machine_name=decode_utf8(path, name),
                         interval_ticks=interval_ticks,
                         n_samples=n_samples),
             compressed_len)
@@ -297,32 +249,31 @@ def read_metrics_header(path) -> list[SectionInfo]:
     return infos
 
 
-def _iter_section_samples(inflater: _Inflater, info: SectionInfo, path
+def _iter_section_samples(reader: PayloadReader, info: SectionInfo, path
                           ) -> Iterator[IntervalSample]:
     series: dict[int, tuple[int, str]] = {}
     seen = 0
     while True:
-        tag = inflater.read(1)[0]
+        tag = reader.read(1)[0]
         if tag == FRAME_DEFINE:
-            kind = inflater.read(1)[0]
+            kind = reader.read(1)[0]
             if kind not in (KIND_COUNTER, KIND_GAUGE, KIND_HISTOGRAM):
                 raise ValueError(
                     f"{path}: unknown series kind {kind} in section "
                     f"{info.machine_name!r}")
-            series_id = _U32.unpack(inflater.read(_U32.size))[0]
-            name_len = _U32.unpack(inflater.read(_U32.size))[0]
-            name = inflater.read(name_len).decode("utf-8")
+            series_id = _U32.unpack(reader.read(_U32.size))[0]
+            name = read_str(reader)
             if series_id in series:
                 raise ValueError(
                     f"{path}: series id {series_id} defined twice in "
                     f"section {info.machine_name!r}")
             series[series_id] = (kind, name)
         elif tag == FRAME_SAMPLE:
-            rest = inflater.read(_SAMPLE.size - 1)
+            rest = reader.read(_SAMPLE.size - 1)
             t_end, n_entries = struct.unpack("<QI", rest)
             sample = IntervalSample(t_end)
             for _ in range(n_entries):
-                series_id = _U32.unpack(inflater.read(_U32.size))[0]
+                series_id = _U32.unpack(reader.read(_U32.size))[0]
                 defined = series.get(series_id)
                 if defined is None:
                     raise ValueError(
@@ -331,10 +282,10 @@ def _iter_section_samples(inflater: _Inflater, info: SectionInfo, path
                 kind, name = defined
                 if kind == KIND_HISTOGRAM:
                     d_count, d_sum, max_ticks = struct.unpack(
-                        "<qqq", inflater.read(24))
+                        "<qqq", reader.read(24))
                     sample.histograms[name] = (d_count, d_sum, max_ticks)
                 else:
-                    value = struct.unpack("<q", inflater.read(8))[0]
+                    value = struct.unpack("<q", reader.read(8))[0]
                     if kind == KIND_COUNTER:
                         sample.counters[name] = value
                     else:
@@ -342,13 +293,13 @@ def _iter_section_samples(inflater: _Inflater, info: SectionInfo, path
             seen += 1
             yield sample
         elif tag == FRAME_END:
-            declared = _U64.unpack(inflater.read(_U64.size))[0]
+            declared = _U64.unpack(reader.read(_U64.size))[0]
             if declared != seen or declared != info.n_samples:
                 raise ValueError(
                     f"{path}: section {info.machine_name!r} sample count "
                     f"mismatch (header {info.n_samples}, stream end "
                     f"{declared}, decoded {seen})")
-            if not inflater.at_end():
+            if not reader.at_end():
                 raise ValueError(
                     f"{path}: trailing frames after END in section "
                     f"{info.machine_name!r}")
@@ -369,8 +320,9 @@ def iter_samples(path) -> Iterator[tuple[str, int, IntervalSample]]:
         n_sections = _read_file_header(fh, path)
         for _ in range(n_sections):
             info, compressed_len = _read_section_header(fh, path)
-            inflater = _Inflater(fh, compressed_len, path)
-            for sample in _iter_section_samples(inflater, info, path):
+            reader = PayloadReader(path, inflate(
+                path, _section_chunks(fh, compressed_len, path)))
+            for sample in _iter_section_samples(reader, info, path):
                 yield info.machine_name, info.interval_ticks, sample
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last section")

@@ -186,8 +186,8 @@ class FileSystemDriver(Driver):
         machine.cc.purge(node, 0)
         volume.set_file_size(node, 0, machine.clock.now)
         node.valid_data_length = 0
-        if attributes & FileAttributes.TEMPORARY:
-            node.attributes |= FileAttributes.TEMPORARY
+        if int(attributes) & _ATTR_TEMPORARY:
+            node.attributes = int(node.attributes) | _ATTR_TEMPORARY
         machine.mm.evict_image(volume.label, node.full_path())
         self._perf_overwritten.add(1)
 

@@ -5,12 +5,16 @@ streams in compressed form; here a collector is an in-process sink that
 accumulates trace records (as the trace filter's staged columnar blocks),
 name records, per-process names, file-system snapshots and the causal
 span log (staged int64 rows) for one machine, ready for the store
-encoder and the analysis warehouse.
+encoder and the analysis warehouse.  The staged blocks are the only form
+in which a collector holds its records: every consumer reads them in
+place, and :attr:`TraceCollector.records` builds dataclasses from them
+as a fresh copy on each access.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -25,9 +29,10 @@ class TraceCollector:
 
     Trace records arrive as columnar ``array('q')`` blocks
     (:mod:`repro.nt.tracing.fastbuf`) — flushed by the trace filter, or
-    decoded whole by the store — and stay staged: the store encoder packs
-    them directly, and :attr:`records` materialises them into dataclasses
-    only when analysis asks.  The span log is staged the same way:
+    decoded whole by the store — and stay staged in :attr:`blocks`: the
+    store encoder packs them directly, the warehouse, the sketch fold and
+    the replay engine read them in place, and :attr:`records` builds
+    dataclasses from them on request.  The span log is staged the same way:
     :attr:`span_log` holds :data:`~repro.nt.tracing.spans.SPAN_FIELDS`
     int64 fields per finished span, :meth:`span_rows` reads it as numpy
     rows, and :attr:`span_records` materialises a copy on request.
@@ -35,9 +40,8 @@ class TraceCollector:
 
     def __init__(self, machine_name: str) -> None:
         self.machine_name = machine_name
-        self._records: list[TraceRecord] = []
         self._blocks: list[array] = []
-        self._n_staged = 0
+        self._n_records = 0
         self.name_records: list[NameRecord] = []
         # Causal span log (repro.nt.tracing.spans): one row of
         # SPAN_FIELDS int64 fields per finished span, in SpanRecord field
@@ -55,31 +59,22 @@ class TraceCollector:
         self.snapshots: list[tuple[str, int, list[SnapshotRecord]]] = []
 
     @property
+    def blocks(self) -> tuple[array, ...]:
+        """The staged record blocks, in record order, to read in place;
+        only :meth:`receive_block` adds to them."""
+        return tuple(self._blocks)
+
+    @property
     def records(self) -> list[TraceRecord]:
-        """All trace records as dataclasses, materialising staged blocks."""
-        if self._blocks:
-            self._materialise()
-        return self._records
-
-    def _materialise(self) -> None:
-        for block in self._blocks:
-            self._records.extend(records_from_block(block))
-        self._blocks.clear()
-        self._n_staged = 0
-
-    def record_chunks(self) -> tuple[list[TraceRecord], list[array]]:
-        """(materialised records, staged blocks), in record order.
-
-        The store encoder packs staged blocks directly, and the warehouse
-        and the sketch fold read them in place — none forces
-        materialisation — so archiving, loading or folding a run
-        allocates no per-record dataclasses.
-        """
-        return self._records, self._blocks
+        """The trace records as dataclasses: a fresh list built from the
+        staged blocks on every access, so editing it leaves the collector
+        untouched."""
+        return list(chain.from_iterable(map(records_from_block,
+                                            self._blocks)))
 
     def receive_block(self, block: array) -> None:
         """Accept one columnar block of records."""
-        self._n_staged += len(block) // RECORD_FIELDS
+        self._n_records += len(block) // RECORD_FIELDS
         self._blocks.append(block)
 
     def receive_name(self, record: NameRecord) -> None:
@@ -120,7 +115,7 @@ class TraceCollector:
         self.snapshots.append((volume_label, when, records))
 
     def __len__(self) -> int:
-        return len(self._records) + self._n_staged
+        return self._n_records
 
     def __reduce__(self):
         # A collector crosses a process boundary as its packed .nttrace

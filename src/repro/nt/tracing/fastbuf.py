@@ -11,14 +11,16 @@ paper's "overflow never occurred during our tracing runs" case.
 
 No per-event object exists on the way: each record is 15 signed 64-bit
 fields appended flat into an ``array('q')`` block.  Flushed blocks stay
-staged in the collector until analysis asks for :class:`TraceRecord`
-dataclasses (:func:`records_from_block`) or the store encoder packs them
-(:func:`pack_block`).  On a little-endian host a block's ``tobytes()`` is
-byte for byte the concatenation of the archive's ``<15q`` record structs,
-so packing is a memory copy and decoding (:func:`unpack_block`) its
-inverse; elsewhere both fall back to per-row struct packing.  The causal
-span log (:mod:`repro.nt.tracing.spans`) is staged and packed the same
-way, with its own ``<11q`` row struct.
+staged in the collector, the only form in which it holds records: the
+store encoder packs them (:func:`pack_block`), and
+:func:`records_from_block` builds :class:`TraceRecord` dataclasses from a
+block only when a caller asks for them.  On a little-endian host a
+block's ``tobytes()`` is byte for byte the concatenation of the
+archive's ``<15q`` record structs, so packing is a memory copy and
+decoding (:func:`unpack_block`) its inverse; elsewhere both fall back to
+per-row struct packing.  The causal span log
+(:mod:`repro.nt.tracing.spans`) is staged and packed the same way, with
+its own ``<11q`` row struct.
 """
 
 from __future__ import annotations

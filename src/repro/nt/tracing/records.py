@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
 
 from repro.nt.io.fastio import FastIoOp
 from repro.nt.io.irp import Irp, IrpMajor, IrpMinor
@@ -234,9 +233,6 @@ class TraceRecord:
 # A record row's fields in TraceRecord order, which is also the order of
 # one row of a staged block (repro.nt.tracing.fastbuf).
 RECORD_COLUMNS = TraceRecord.__slots__
-
-# A TraceRecord's fields as one row tuple.
-record_row = attrgetter(*RECORD_COLUMNS)
 
 
 @dataclass(frozen=True)

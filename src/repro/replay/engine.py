@@ -36,9 +36,7 @@ source's per-kind operation counts exactly.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional
 
 from repro.common.clock import ticks_from_seconds
@@ -50,7 +48,7 @@ from repro.nt.io.initiator import ReplayInitiator, ReplayOutcome
 from repro.nt.system import Machine, MachineConfig
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.fastbuf import RECORD_FIELDS
-from repro.nt.tracing.records import RECORD_COLUMNS, record_row
+from repro.nt.tracing.records import RECORD_COLUMNS
 
 # Replay volumes get ample capacity: the source volume's exact fullness is
 # unknowable from the archive (snapshots record sizes, not allocation), and
@@ -224,17 +222,6 @@ def build_replay_machine(source: TraceCollector, index: int,
     return machine
 
 
-def _record_blocks(source: TraceCollector) -> list[array]:
-    """The source's records as staged blocks, in record order: its own
-    blocks, read in place, after any records analysis already
-    materialised, re-staged into one new block."""
-    records, blocks = source.record_chunks()
-    if not records:
-        return blocks
-    return [array("q", chain.from_iterable(map(record_row, records))),
-            *blocks]
-
-
 def replay_collector(source: TraceCollector, index: int = 0,
                      config: ReplayConfig = ReplayConfig()
                      ) -> ReplayedMachine:
@@ -244,7 +231,7 @@ def replay_collector(source: TraceCollector, index: int = 0,
     initiator = ReplayInitiator(machine, source, mode=config.mode)
     inject = initiator.inject
     open_loop = config.mode == "open"
-    for block in _record_blocks(source):
+    for block in source.blocks:
         for base in range(0, len(block), RECORD_FIELDS):
             if open_loop and block[base + _T_START] > machine.clock.now:
                 machine.run_until(block[base + _T_START])

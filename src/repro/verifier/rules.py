@@ -34,10 +34,10 @@ RULE_CATALOG: List[Tuple[str, str]] = [
     ("D102", "RNG constructed without a seed (Random(), default_rng())"),
     ("D103", "directory listing (os.listdir/scandir/walk, glob.glob/"
              "iglob, Path.iterdir/glob/rglob) used without sorted()"),
-    ("D201", "id(...) in repro.nt/repro.workload — identity-keyed state "
-             "varies across processes"),
+    ("D201", "id(...) in repro.nt/repro.workload/repro.replay — "
+             "identity-keyed state varies across processes"),
     ("D202", "iteration over a set-typed local/attribute in "
-             "repro.nt/repro.workload outside sorted()"),
+             "repro.nt/repro.workload/repro.replay outside sorted()"),
     ("P301", "IRP handler path neither completes nor forwards the packet"),
     ("P302", "IRP handler path completes/forwards more than once "
              "(use-after-complete)"),

@@ -41,7 +41,8 @@ READ_SIDE_WHITELIST: Tuple[str, ...] = (
     "repro.nt.tracing.spans",
     "repro.nt.tracing.collector",
     "repro.nt.tracing.snapshot",
-    # The .ntmetrics decoder: pure stdlib framing, no live kernel state.
+    # The .ntmetrics decoder: frame parsing over the store's reader, no
+    # live kernel state.
     "repro.nt.flight.log",
 )
 

@@ -122,8 +122,7 @@ def test_flush_boundaries_at_default_capacity(n):
     collector, buf = _buffered(rows, BUFFER_CAPACITY)
     assert buf.rotations == n // BUFFER_CAPACITY
     assert buf.active_fill == n % BUFFER_CAPACITY
-    _records, blocks = collector.record_chunks()
-    assert [len(b) for b in blocks] == \
+    assert [len(b) for b in collector.blocks] == \
         [BUFFER_CAPACITY * RECORD_FIELDS] * (n // BUFFER_CAPACITY)
     buf.drain()
     assert pack_collector(collector) == _reference_payload(rows)

@@ -13,6 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import struct
+import subprocess
+import sys
+import zlib
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +44,8 @@ from repro.nt.flight.log import (
 )
 from repro.nt.flight.recorder import FlightRecorder
 from repro.nt.system import Machine, MachineConfig
-from repro.nt.tracing.store import pack_collector
+from repro.nt.tracing.collector import TraceCollector
+from repro.nt.tracing.store import pack_collector, save_collector
 from repro.analysis.openmetrics import (
     openmetrics_exposition,
     validate_openmetrics,
@@ -47,6 +55,8 @@ from repro.analysis.timeseries import (
     reconcile_with_archive,
 )
 from tests.test_perf import _drive_small_workload
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _section(frames: bytes, n_samples: int, name: str = "m00",
@@ -181,6 +191,67 @@ class TestLogFormat:
         nbytes = write_metrics_log([_section(bytes(frames), 10_000)], path)
         assert nbytes < len(frames) / 5
         assert sum(1 for _ in iter_samples(path)) == 10_000
+
+
+def _raw_log(name: bytes, n_samples: int, compressed: bytes,
+             interval: int = 10) -> bytes:
+    """A one-section ``.ntmetrics`` file laid out byte by byte, so a test
+    can plant what the writer never emits."""
+    return (MAGIC + b"1" + struct.pack("<II", 1, len(name)) + name
+            + struct.pack("<QQQ", interval, n_samples, len(compressed))
+            + compressed)
+
+
+class TestDecoderNamesFile:
+    """Damage the writer never produces still fails as a ``ValueError``
+    naming the file, from the store's shared reader."""
+
+    def test_corrupt_section_name(self, tmp_path):
+        path = tmp_path / "m.ntmetrics"
+        section = _hand_built_section()
+        path.write_bytes(_raw_log(b"m\xff0", section.n_samples,
+                                  zlib.compress(section.frames)))
+        message = re.escape(f"{path}: corrupt string")
+        with pytest.raises(ValueError, match=message):
+            read_metrics_header(path)
+        with pytest.raises(ValueError, match=message):
+            list(iter_samples(path))
+
+    def test_corrupt_series_name(self, tmp_path):
+        frames = encode_define(KIND_COUNTER, 0, "x")[:-1] + b"\xff" \
+            + encode_end(0)
+        path = tmp_path / "m.ntmetrics"
+        write_metrics_log([_section(frames, 0)], path)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: corrupt string")):
+            list(iter_samples(path))
+
+    def test_stream_cut_before_its_trailer_fails_repro_metrics(self,
+                                                              tmp_path):
+        # The hand-built section counts 12 trace records for m00; next to
+        # an archive holding 12 records for m00 the intact log reconciles.
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        collector = TraceCollector("m00")
+        collector.receive_block(array("q", [kind for kind in range(12)
+                                            for _ in range(15)]))
+        save_collector(collector, traces / "m00.nttrace")
+        path = traces / METRICS_FILENAME
+        section = _hand_built_section()
+        compressed = zlib.compress(section.frames)
+        path.write_bytes(_raw_log(b"m00", section.n_samples, compressed))
+        assert cli_main(["metrics", str(traces)]) == 0
+        # Drop the 4-byte Adler-32 trailer and shrink compressed_len to
+        # match: every frame still inflates, but the stream never ends.
+        path.write_bytes(_raw_log(b"m00", section.n_samples,
+                                  compressed[:-4]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "metrics", str(traces)],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 1
+        assert f"{path}: corrupt compressed payload" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestRecorder:

@@ -14,12 +14,13 @@ import random
 import re
 import struct
 import zlib
+from array import array
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.records import N_EVENT_KINDS, NameRecord, TraceRecord
+from repro.nt.tracing.records import N_EVENT_KINDS, NameRecord
 from repro.nt.tracing.spans import SPAN_RECORDED
 from repro.nt.tracing.store import (STORE_FORMAT_VERSION,
                                     SUPPORTED_FORMAT_VERSIONS,
@@ -37,13 +38,14 @@ def _collector(n_records: int = 5) -> TraceCollector:
     collector.receive_name(NameRecord(
         fo_id=1, path="\\docs\\report.doc", volume_label="m00-C",
         volume_is_remote=False, pid=8, t=0))
-    collector.records.extend([
-        TraceRecord(kind=3, fo_id=1, pid=8, t_start=i * 100,
-                    t_end=i * 100 + 50, status=0, irp_flags=0,
-                    offset=i * 4096, length=4096, returned=4096,
-                    file_size=65536, disposition=0, options=0,
-                    attributes=0, info=0)
-        for i in range(n_records)])
+    if n_records:
+        # kind, fo_id, pid, t_start, t_end, status, irp_flags, offset,
+        # length, returned, file_size, disposition, options, attributes,
+        # info.
+        collector.receive_block(array("q", [
+            field for i in range(n_records)
+            for field in (3, 1, 8, i * 100, i * 100 + 50, 0, 0, i * 4096,
+                          4096, 4096, 65536, 0, 0, 0, 0)]))
     return collector
 
 
@@ -133,11 +135,11 @@ class TestChunkedDecode:
         # a valid event kind, which every decoder checks.
         rng = random.Random(7)
         collector = _collector(n_records=0)
-        collector.records.extend(
-            TraceRecord(rng.randrange(N_EVENT_KINDS),
-                        *(rng.randrange(-2 ** 63, 2 ** 63)
-                          for _ in range(14)))
-            for _ in range(4_000))
+        collector.receive_block(array("q", [
+            field for _ in range(4_000)
+            for field in (rng.randrange(N_EVENT_KINDS),
+                          *(rng.randrange(-2 ** 63, 2 ** 63)
+                            for _ in range(14)))]))
         for i in range(300):
             collector.receive_name(NameRecord(
                 fo_id=i, path="\\" + "".join(
@@ -311,10 +313,8 @@ class TestOutOfRangeKinds:
     @pytest.fixture(params=[99, -1])
     def archive(self, request, tmp_path):
         collector = _collector()
-        collector.records.append(TraceRecord(
-            kind=request.param, fo_id=1, pid=8, t_start=600, t_end=650,
-            status=0, irp_flags=0, offset=0, length=0, returned=0,
-            file_size=0, disposition=0, options=0, attributes=0, info=0))
+        collector.receive_block(array("q", (
+            request.param, 1, 8, 600, 650, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)))
         directory = tmp_path / "traces"
         directory.mkdir()
         path = directory / f"{collector.machine_name}.nttrace"

@@ -33,7 +33,7 @@ from repro.analysis.streaming import (
     sketch_from_archive,
     sketch_from_warehouse,
 )
-from repro.analysis.warehouse import TraceWarehouse
+from repro.analysis.warehouse import TraceWarehouse, record_rows
 from repro.common.flags import CreateOptions, FileAttributes
 from repro.nt.perf import BUCKET_EDGES_TICKS, N_BUCKETS, LatencyHistogram
 from repro.nt.tracing.collector import TraceCollector
@@ -41,9 +41,15 @@ from repro.nt.tracing.records import (
     NameRecord,
     SetInformationClass,
     TraceEventKind,
+    TraceRecord,
     extension_of,
 )
-from repro.nt.tracing.store import StoreStream, save_collector, save_study
+from repro.nt.tracing.store import (
+    StoreStream,
+    pack_collector,
+    save_collector,
+    save_study,
+)
 from repro.workload import campaign
 
 K = TraceEventKind
@@ -130,20 +136,17 @@ def _row(kind, fo_id=1, pid=1, t_start=0, duration=10, status=0,
             options, attributes, info)
 
 
-def make_collector(rows, names=(), staged_from: int = 0) -> TraceCollector:
-    """A collector holding ``rows``: the first ``staged_from`` rows are
-    materialised as records, the rest stay staged in two blocks."""
+def make_collector(rows, names=(), split_at: int = 0) -> TraceCollector:
+    """A collector holding ``rows`` in up to three staged blocks: the
+    first ``split_at`` rows, then the rest in two halves (an empty part
+    adds no block)."""
     collector = TraceCollector(MACHINE)
-    flat = [array("q", (f for row in part for f in row))
-            for part in (rows[:staged_from],
-                         rows[staged_from:(staged_from + len(rows)) // 2],
-                         rows[(staged_from + len(rows)) // 2:])]
-    if flat[0]:
-        collector.receive_block(flat[0])
-        assert len(collector.records) == staged_from
-    for block in flat[1:]:
-        if block:
-            collector.receive_block(block)
+    for part in (rows[:split_at],
+                 rows[split_at:(split_at + len(rows)) // 2],
+                 rows[(split_at + len(rows)) // 2:]):
+        if part:
+            collector.receive_block(array("q", (f for row in part
+                                                for f in row)))
     for i, (fo_id, path_idx) in enumerate(names):
         collector.receive_name(NameRecord(
             fo_id=fo_id, path=PATHS[path_idx], volume_label="C",
@@ -166,15 +169,15 @@ def assert_same_sketch(got: StatsSketch, want: StatsSketch) -> None:
     assert got.canonical_bytes() == want.canonical_bytes()
 
 
-def check_fold(rows, names=(), staged_from: int = 0,
+def check_fold(rows, names=(), split_at: int = 0,
                event_batch: int = streaming._EVENT_BATCH) -> StatsSketch:
     """Every producer's sketch of ``rows`` equals the reference's, with
     the fold turning ``event_batch`` rows into event lists at a time."""
     want = StatsSketch()
-    reference_fold(want, 0, CATEGORY,
-                   make_collector(rows, names, staged_from))
+    reference_fold(want, 0, CATEGORY, make_collector(rows, names, split_at))
 
-    collector = make_collector(rows, names, staged_from)
+    collector = make_collector(rows, names, split_at)
+    blocks = [array("q", block) for block in collector.blocks]
     got, from_file = StatsSketch(), StatsSketch()
     with mock.patch.object(streaming, "_EVENT_BATCH", event_batch), \
             tempfile.TemporaryDirectory() as tmp:
@@ -183,7 +186,7 @@ def check_fold(rows, names=(), staged_from: int = 0,
         save_collector(collector, path)
         fold_store_file(from_file, 0, CATEGORY, path)
     assert_same_sketch(got, want)
-    assert len(collector.record_chunks()[0]) == staged_from
+    assert list(collector.blocks) == blocks
     assert_same_sketch(from_file, want)
 
     warehouse = TraceWarehouse([collector], {MACHINE: CATEGORY})
@@ -228,7 +231,7 @@ rows_strategy = st.lists(st.builds(
     info=st.sampled_from((0, int(SetInformationClass.DISPOSITION),
                           int(SetInformationClass.END_OF_FILE)))),
     max_size=60)
-# A trace plus how many of its leading rows the collector materialised.
+# A trace plus the row at which the collector's first block ends.
 traces = rows_strategy.flatmap(
     lambda rows: st.tuples(st.just(rows), st.integers(0, len(rows))))
 names_strategy = st.lists(st.tuples(st.integers(0, 5),
@@ -241,8 +244,8 @@ names_strategy = st.lists(st.tuples(st.integers(0, 5),
        event_batch=st.sampled_from((1, 2, 7, 1 << 12)))
 @example(trace=([], 0), names=[], event_batch=1 << 12)
 def test_fold_matches_record_at_a_time_reference(trace, names, event_batch):
-    rows, staged_from = trace
-    check_fold(rows, names, staged_from, event_batch)
+    rows, split_at = trace
+    check_fold(rows, names, split_at, event_batch)
 
 
 # --------------------------------------------------------------------- #
@@ -303,18 +306,6 @@ class TestEdgeCases:
         assert sketch.machines[0]["n_records"] == 0
         assert (sketch.t_min, sketch.t_max) == (-1, -1)
 
-    def test_materialised_records_then_staged_blocks(self):
-        rows = [_row(K.IRP_CREATE, fo_id=1, t_start=0),
-                _row(K.IRP_READ, fo_id=1, t_start=5),
-                _row(K.IRP_CREATE, fo_id=2, t_start=5),
-                _row(K.IRP_READ, fo_id=1, t_start=5, offset=512),
-                _row(K.IRP_WRITE, fo_id=2, t_start=9),
-                _row(K.IRP_CLEANUP, fo_id=1, t_start=20),
-                _row(K.IRP_CLEANUP, fo_id=2, t_start=20)]
-        for staged_from in range(len(rows) + 1):
-            check_fold(rows, names=[(1, 0), (2, 1)],
-                       staged_from=staged_from)
-
     @pytest.mark.parametrize("event_batch", [1, 2, 3, 4])
     def test_file_objects_straddling_event_batches(self, event_batch):
         # Groups of 1 to 4 rows against batches of 1 to 4 rows: batches
@@ -374,9 +365,7 @@ def test_fold_builds_no_record_objects(monkeypatch, tmp_path):
         n_machines=2, duration_seconds=8.0, seed=5, content_scale=0.05))
     assert result.sketch.n_records > 0
     assert len(folded) == 2
-    for collector in folded:
-        records, blocks = collector.record_chunks()
-        assert records == [] and blocks
+    assert all(collector.blocks for collector in folded)
 
     save_study(folded, tmp_path)
     archived = sketch_from_archive(tmp_path)
@@ -398,13 +387,39 @@ def test_store_record_block_reads_the_record_section(tmp_path):
     assert process_names == collector.process_names
 
 
-@pytest.mark.parametrize("staged_from", [0, 1])
-def test_double_fold_leaves_the_sketch_untouched(staged_from):
+@pytest.mark.parametrize("split_at", [0, 1])
+def test_double_fold_leaves_the_sketch_untouched(split_at):
     rows = [_row(K.IRP_CREATE, fo_id=1), _row(K.IRP_READ, fo_id=1)]
     sketch = StatsSketch()
     fold_collector(sketch, 0, CATEGORY, make_collector(rows))
     before = sketch.canonical_bytes()
     with pytest.raises(ValueError, match="folded twice"):
         fold_collector(sketch, 0, CATEGORY,
-                       make_collector(rows, staged_from=staged_from))
+                       make_collector(rows, split_at=split_at))
     assert sketch.canonical_bytes() == before
+
+
+def test_reading_records_changes_nothing():
+    # .records builds a fresh list from the staged blocks: reading or
+    # editing it leaves the packed bytes, the row table and the fold as
+    # they were.
+    rows = [_row(K.IRP_CREATE, fo_id=1), _row(K.IRP_READ, fo_id=1, t_start=4),
+            _row(K.IRP_CREATE, fo_id=2, t_start=5),
+            _row(K.IRP_WRITE, fo_id=2, t_start=9),
+            _row(K.IRP_CLEANUP, fo_id=1, t_start=20)]
+    collector = make_collector(rows, names=[(1, 0), (2, 1)], split_at=2)
+    packed = pack_collector(collector)
+    table = record_rows(collector).copy()
+    want = StatsSketch()
+    fold_collector(want, 0, CATEGORY, collector)
+
+    records = collector.records
+    assert records == [TraceRecord(*row) for row in rows]
+    records.clear()
+    assert collector.records == [TraceRecord(*row) for row in rows]
+    assert len(collector) == len(rows)
+    assert pack_collector(collector) == packed
+    assert np.array_equal(record_rows(collector), table)
+    got = StatsSketch()
+    fold_collector(got, 0, CATEGORY, collector)
+    assert_same_sketch(got, want)

@@ -30,7 +30,12 @@ import pytest
 
 from repro import StudyConfig, run_study
 from repro.cli import main as cli_main
-from repro.common.flags import CreateDisposition, CreateOptions, IrpFlags
+from repro.common.flags import (
+    CreateDisposition,
+    CreateOptions,
+    FileAttributes,
+    IrpFlags,
+)
 from repro.nt.fs.volume import Volume
 from repro.nt.io.fastio import FastIoOp
 from repro.nt.system import Machine, MachineConfig
@@ -129,12 +134,13 @@ class TestSweep:
                                                      monkeypatch):
         # Spans stay staged int64 rows and record kinds stay ints, so no
         # cell builds a SpanRecord or any of the enums injection once
-        # built for every replayed record.
+        # built for every replayed record; rebuilding each cell's volume
+        # trees keeps node attributes plain ints.
         def refuse(*_args, **_kwargs):
             raise AssertionError("the sweep built a SpanRecord")
 
         forbidden = (TraceEventKind, IrpFlags, FastIoOp, CreateDisposition,
-                     CreateOptions)
+                     CreateOptions, FileAttributes)
         construct = enum.EnumType.__call__
 
         def guarded(cls, *args, **kwargs):
