@@ -24,7 +24,6 @@ from repro.nt.flight.log import (
     IntervalSample,
     MetricsSection,
     iter_samples,
-    read_metrics_header,
     write_metrics_log,
 )
 from repro.nt.flight.recorder import FlightRecorder
@@ -36,6 +35,5 @@ __all__ = [
     "IntervalSample",
     "MetricsSection",
     "iter_samples",
-    "read_metrics_header",
     "write_metrics_log",
 ]

@@ -95,7 +95,7 @@ class MetricsSection:
 
 @dataclass(frozen=True)
 class SectionInfo:
-    """Header of one section, readable without decompressing anything."""
+    """Header of one section, read before its frame stream."""
 
     machine_name: str
     interval_ticks: int
@@ -233,20 +233,6 @@ def _read_section_header(fh, path) -> tuple[SectionInfo, int]:
                         interval_ticks=interval_ticks,
                         n_samples=n_samples),
             compressed_len)
-
-
-def read_metrics_header(path) -> list[SectionInfo]:
-    """Section headers of a ``.ntmetrics`` file, without inflating data."""
-    infos: list[SectionInfo] = []
-    with open(path, "rb") as fh:
-        n_sections = _read_file_header(fh, path)
-        for _ in range(n_sections):
-            info, compressed_len = _read_section_header(fh, path)
-            infos.append(info)
-            fh.seek(compressed_len, 1)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after last section")
-    return infos
 
 
 def _iter_section_samples(reader: PayloadReader, info: SectionInfo, path

@@ -194,8 +194,9 @@ class PayloadReader:
 
 def inflate(source, chunks):
     """Decompress one zlib stream fed as compressed ``chunks``, yielding
-    output as it is produced.  A corrupt stream, or one that ends before
-    its trailer, raises ``ValueError`` naming ``source``."""
+    output as it is produced.  A corrupt stream, one that ends before its
+    trailer, or bytes after its end raise ``ValueError`` naming
+    ``source``."""
     decomp = zlib.decompressobj()
     try:
         for chunk in chunks:
@@ -207,6 +208,10 @@ def inflate(source, chunks):
     if not decomp.eof:
         raise ValueError(f"{source}: corrupt compressed payload: "
                          f"incomplete or truncated stream")
+    if decomp.unused_data:
+        raise ValueError(f"{source}: corrupt compressed payload: "
+                         f"{len(decomp.unused_data)} stray bytes after "
+                         f"the end of the stream")
 
 
 def _payload_chunks(payload: bytes):

@@ -32,7 +32,7 @@ from repro.verifier.symbols import SymbolTable
 
 # Bump whenever the shape of cached facts or the extraction rules
 # change; old caches are then ignored wholesale.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass

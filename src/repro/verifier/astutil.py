@@ -51,15 +51,6 @@ def resolve_call_name(func: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
     return f"{head}.{rest}" if rest else head
 
 
-def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    """Child → parent for every node in ``tree``."""
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
 def enum_member_names(tree: ast.Module, class_name: str) -> Set[str]:
     """Uppercase member names assigned in the class body of ``class_name``."""
     members: Set[str] = set()

@@ -7,10 +7,10 @@ contain, and a one-line justification — there are no blanket ignores:
 .. code-block:: toml
 
     [[suppression]]
-    rule = "D201"
-    path = "src/repro/nt/system.py"
-    match = "_dir_watchers"
-    justification = "watch registry is keyed by live object identity ..."
+    rule = "L501"
+    path = "src/repro/analysis/cache.py"
+    match = "repro.nt.cache.cachemanager"
+    justification = "mirrors two read-only Cc policy constants ..."
 
 The parser handles exactly this subset of TOML (array-of-tables headers
 and double-quoted string assignments) so the verifier works on every

@@ -160,17 +160,20 @@ class CallGraph:
 # Construction.
 
 
-def _iter_scope_nodes(fn_node: ast.AST) -> Iterable[ast.AST]:
-    """Walk a function body without descending into nested defs/classes.
+def _iter_scope_nodes(fn: FunctionSymbol) -> Iterable[ast.AST]:
+    """Walk every def bound to ``fn`` (or the module body) without
+    descending into nested defs, which are scopes of their own.
 
-    Lambda bodies stay in scope — a lambda runs as part of its
-    enclosing function for taint purposes.
+    Class bodies and lambda bodies stay in scope: a class body runs when
+    its enclosing scope defines the class (import time, for a
+    module-level class), and a lambda runs as part of its enclosing
+    function for taint purposes.
     """
-    stack = list(ast.iter_child_nodes(fn_node))
+    stack = [child for def_node in fn.nodes
+             for child in ast.iter_child_nodes(def_node)]
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
@@ -198,9 +201,7 @@ class _FunctionScope:
             resolved = table.resolve_class(annotation, module)
             if resolved is not None:
                 self.types[param] = resolved
-        if fn.node is None:
-            return
-        for node in _iter_scope_nodes(fn.node):
+        for node in _iter_scope_nodes(fn):
             if isinstance(node, ast.Assign) and isinstance(
                     node.value, ast.Call):
                 ctor = _constructor_name(node.value)
@@ -282,10 +283,8 @@ class GraphBuilder:
         aliases = self.table.aliases.get(module.name, {})
         local_functions = self.local_functions(module.name)
         for fn in self.by_module.get(module.name, []):
-            if fn.node is None:
-                continue
             scope = _FunctionScope(fn, self.table)
-            for node in _iter_scope_nodes(fn.node):
+            for node in _iter_scope_nodes(fn):
                 if not isinstance(node, ast.Call):
                     continue
                 _resolve_call(graph, module.name, fn, node, scope,

@@ -117,17 +117,30 @@ def display_path(path: Path, root: "Path | None" = None) -> str:
 def load_modules(files: Sequence[Path], root: "Path | None" = None,
                  ) -> ModuleIndex:
     """Parse files into a :class:`ModuleIndex`, with display paths
-    anchored at ``root`` (see :func:`display_path`)."""
+    anchored at ``root`` (see :func:`display_path`).
+
+    Raises :class:`ValueError` for two files with one module name (two
+    ``run.py`` scripts outside any package): the tree rules key
+    functions and summaries by qualified name, so one file's findings
+    would be lost or reported under the other's path.
+    """
     modules: List[ModuleInfo] = []
+    by_name: Dict[str, Path] = {}
     for file in files:
         source = file.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(file))
         except SyntaxError as exc:
             raise ValueError(f"verify cannot parse {file}: {exc}") from exc
+        name = module_name_for(file)
+        if name in by_name:
+            raise ValueError(
+                f"verify sees two modules named {name}: {by_name[name]} "
+                f"and {file}; verify them in separate runs")
+        by_name[name] = file
         modules.append(ModuleInfo(
             path=file, display_path=display_path(file, root),
-            name=module_name_for(file), tree=tree, source=source))
+            name=name, tree=tree, source=source))
     return ModuleIndex(modules=modules)
 
 

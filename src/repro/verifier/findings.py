@@ -7,11 +7,14 @@ the engine can diff a run against a suppression baseline
 
 Rule identifiers follow the Driver-Verifier-style catalog:
 
-* ``D1xx``/``D2xx`` — determinism (wall-clock/entropy bans, unordered
-  iteration hazards),
+* ``D1xx``/``D2xx`` — determinism (unsorted directory listings, set
+  iteration),
 * ``P3xx`` — IRP completion protocol,
 * ``L5xx`` — layering (import direction),
-* ``T4xx`` — exhaustiveness cross-checks over the op enums.
+* ``T4xx`` — exhaustiveness cross-checks over the op enums,
+* ``F6xx`` — interprocedural determinism (wall-clock/entropy sources,
+  identity flow),
+* ``U8xx`` — the tick/byte/seconds unit lattice.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ class Finding:
 
     path: str       # forward-slash path, relative to the verify root
     line: int       # 1-based source line
-    rule: str       # catalog id, e.g. "D201"
+    rule: str       # catalog id, e.g. "F601"
     message: str    # one-line human description
 
     def format(self) -> str:

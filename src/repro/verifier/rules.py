@@ -28,14 +28,8 @@ TREE_RULES: List[TreeRule] = [
 ]
 
 RULE_CATALOG: List[Tuple[str, str]] = [
-    ("D101", "banned wall-clock/entropy call (time.time, datetime.now, "
-             "random.*, numpy legacy global RNG, uuid1/4, os.urandom, "
-             "secrets.*)"),
-    ("D102", "RNG constructed without a seed (Random(), default_rng())"),
     ("D103", "directory listing (os.listdir/scandir/walk, glob.glob/"
              "iglob, Path.iterdir/glob/rglob) used without sorted()"),
-    ("D201", "id(...) in repro.nt/repro.workload/repro.replay — "
-             "identity-keyed state varies across processes"),
     ("D202", "iteration over a set-typed local/attribute in "
              "repro.nt/repro.workload/repro.replay outside sorted()"),
     ("P301", "IRP handler path neither completes nor forwards the packet"),
@@ -54,12 +48,16 @@ RULE_CATALOG: List[Tuple[str, str]] = [
     ("T406", "StorageKind member missing from StorageDriver's "
              "_SERVICE_HANDLERS table"),
     ("T407", "StorageKind member not used by any PERSONALITIES entry"),
-    ("F601", "sim-scope function transitively reaches a wall-clock/"
-             "entropy source through the call graph (reported at the "
+    ("F601", "wall-clock/entropy source: a direct call anywhere "
+             "(time.time, datetime.now, random.*, numpy legacy global "
+             "RNG, unseeded Random()/default_rng(), uuid1/4, os.urandom, "
+             "secrets.*), and in repro.nt/repro.workload/repro.replay any "
+             "time.* call, also through the call graph (reported at the "
              "earliest sim-scope frame)"),
     ("F602", "identity-dependent value (id(), default object hash) "
              "flows into an iterated/ordered/serialized container "
-             "across function boundaries — the dirty_maps bug class"),
+             "(a set, or an id()-keyed dict's keys) across function "
+             "boundaries — the dirty_maps bug class"),
     ("U801", "ticks/bytes/seconds quantities mixed in arithmetic, "
              "comparison, or a call argument without an explicit "
              "conversion constant"),

@@ -1,29 +1,39 @@
-"""F-rules: interprocedural determinism taint.
+"""F-rules: determinism sources and identity flow.
 
-The D-rules catch a wall-clock read or an ``id()`` key *where it is
-written*; both real determinism bugs this project has shipped (the
+Both real determinism bugs this project has shipped (the
 identity-hashed ``cc.dirty_maps`` set, the ``id(cmap)`` LRU keys) were
-*flow* bugs — the hazardous value was produced in one function and
+*flow* bugs: the hazardous value was produced in one function and
 became observable in another.  These rules run on the project call
 graph (:mod:`repro.verifier.callgraph`) and track values across
-function boundaries:
+function boundaries; each determinism hazard has exactly one rule:
 
-* **F601** — a function in the simulation scope (``repro.nt``,
-  ``repro.workload``, ``repro.replay``) transitively reaches a
-  wall-clock or entropy source (**any** ``time.*`` call — stricter than
-  D101, which sanctions the monotonic timers — ``datetime.now``,
-  ``os.urandom``, ``uuid1/4``, ``secrets.*``, module-level ``random.*``,
-  unseeded RNG constructors) through any call chain.  Findings are
-  reported at the *earliest simulation-scope frame* of each chain: the
-  function that either contains the source call or calls a tainted
-  helper outside the scope.  Deeper sim-scope callers are quiet — the
-  root finding covers them.  Host time belongs in ``repro.cli``, which
-  times the simulation from outside the scope.
+* **F601** — a wall-clock or entropy source, classified from one table:
+  ``time.time``/``time_ns``, ``datetime.now``/``utcnow``/``today``,
+  ``os.urandom``/``getrandom``, ``uuid1/4``, ``SystemRandom``,
+  ``secrets.*``, module-level ``random.*``, legacy ``numpy.random``
+  globals, and ``Random()``/``default_rng()``/``RandomState()``/
+  ``SeedSequence()`` constructed without a seed.  Every source call is
+  reported where it is written, in every verified module; class bodies
+  count as import-time code of their enclosing scope, as the module
+  body does.  The simulation scope (``repro.nt``, ``repro.workload``,
+  ``repro.replay``) is held to more: there **any** ``time.*`` call is a
+  source (outside it the host timers such as ``time.perf_counter`` stay
+  legal), and a function that reaches a source through a call chain is
+  reported at the *earliest simulation-scope frame* — the function that
+  calls a tainted helper outside the scope.  Deeper sim-scope callers
+  are quiet: the root finding covers them.  Host time belongs in
+  ``repro.cli``, which times the simulation from outside the scope.
 * **F602** — identity-derived values (``id()`` results, instances
   hashing by default ``object.__hash__``) flowing into a container that
   is later iterated, ordered, merged, or serialized — across function
   boundaries, via instance attributes, parameters, and return values.
-  This is the exact shape of both shipped bugs.
+  A set of such values is hazardous to iterate; an ``id()``-keyed dict
+  (``d[id(o)] = v``, ``d.setdefault(id(o), v)``) or a list of ``id()``
+  results is hazardous once its values escape (``for k in d``,
+  ``list``/``enumerate``/``zip``/``set`` and friends, ``[*d]``,
+  ``.keys()``, ``.items()``), while iterating a dict's ``.values()`` or
+  only probing it (``in``, ``get``, ``setdefault``, ``pop``) stays
+  clean.  This is the exact shape of both shipped bugs.
 
 Both rules are precision-first: an unresolvable receiver contributes no
 edge and an unknown value no taint, so every finding is fixable rather
@@ -56,9 +66,11 @@ def in_sim_scope(qualname: str) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# F601 sources.
+# F601 sources: the one table of wall-clock and entropy calls.
 
-_WALL_CLOCK_CALLS = {
+_SOURCE_CALLS = {
+    "time.time": "wall-clock read",
+    "time.time_ns": "wall-clock read",
     "datetime.datetime.now": "wall-clock read",
     "datetime.datetime.utcnow": "wall-clock read",
     "datetime.datetime.today": "wall-clock read",
@@ -70,6 +82,7 @@ _WALL_CLOCK_CALLS = {
     "random.SystemRandom": "entropy-backed RNG",
 }
 
+# RNG constructors that are sources only when called without a seed.
 _SEEDED_CONSTRUCTORS = {
     "random.Random",
     "numpy.random.default_rng",
@@ -77,18 +90,33 @@ _SEEDED_CONSTRUCTORS = {
     "numpy.random.SeedSequence",
 }
 
+# numpy.random callables that are not the shared global-state RNG.
+_NUMPY_RANDOM_OK = {
+    "default_rng", "Generator", "RandomState", "SeedSequence",
+    "BitGenerator", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
+}
+
+# Why a ``time.*`` call outside ``_SOURCE_CALLS`` is a source: a host
+# timer, a source only inside the simulation scope.
+_HOST_TIMER = "host clock read"
+
 
 def classify_source(name: str) -> Optional[str]:
-    """Why ``name`` is a wall-clock/entropy source, or ``None``."""
-    if name in _WALL_CLOCK_CALLS:
-        return _WALL_CLOCK_CALLS[name]
+    """Why calling ``name`` reads a wall clock or entropy pool, or
+    ``None``.  Unseeded RNG constructors need the call's arguments and
+    are classified by :func:`direct_sources`."""
+    if name in _SOURCE_CALLS:
+        return _SOURCE_CALLS[name]
     if name.startswith("time.") and name.count(".") == 1:
-        return "host clock read"
+        return _HOST_TIMER
     if name.startswith("secrets."):
         return "entropy source"
     if (name.startswith("random.") and name.count(".") == 1
             and name not in _SEEDED_CONSTRUCTORS):
         return "module-level global RNG"
+    if (name.startswith("numpy.random.")
+            and name.rsplit(".", 1)[1] not in _NUMPY_RANDOM_OK):
+        return "legacy numpy global RNG"
     return None
 
 
@@ -96,30 +124,31 @@ def direct_sources(module: ModuleInfo, builder: GraphBuilder,
                    ) -> Dict[str, List[Tuple[str, str, int]]]:
     """Per-function ``(source_name, why, line)`` source calls in a module.
 
-    Scans every function scope in ``module`` for calls that read a wall
-    clock or entropy pool, including unseeded RNG constructors (which
-    need the call arguments, so graph edges alone cannot classify them).
+    Scans every scope in ``module`` — each function with its decorators
+    and defaults, and the import-time ``<module>`` body with its class
+    bodies — for calls that read a wall clock or entropy pool, including
+    unseeded RNG constructors (which need the call's arguments, so graph
+    edges alone cannot classify them).  Host timers are recorded in
+    every module: they taint the chains that F601 follows out of the
+    simulation scope.
     """
     aliases = builder.table.aliases.get(module.name, {})
     out: Dict[str, List[Tuple[str, str, int]]] = {}
     for fn in builder.by_module.get(module.name, []):
-        if fn.node is None:
-            continue
         hits: List[Tuple[str, str, int]] = []
-        for node in _iter_scope_nodes(fn.node):
+        for node in _iter_scope_nodes(fn):
             if not isinstance(node, ast.Call):
                 continue
             name = resolve_call_name(node.func, aliases)
             if name is None:
                 continue
             why = classify_source(name)
+            if why is None and name in _SEEDED_CONSTRUCTORS and not (
+                    node.args or any(kw.arg in ("seed", "x")
+                                     for kw in node.keywords)):
+                why = "RNG constructed without a seed"
             if why is not None:
                 hits.append((name, why, node.lineno))
-                continue
-            if name in _SEEDED_CONSTRUCTORS and not node.args and not any(
-                    kw.arg in ("seed", "x") for kw in node.keywords):
-                hits.append((name, "RNG constructed without a seed",
-                             node.lineno))
         if hits:
             out[fn.qualname] = sorted(hits, key=lambda h: (h[2], h[0]))
     return out
@@ -131,7 +160,8 @@ def f601_findings(
     sources: Dict[str, List[Tuple[str, str, int]]],
     display_paths: Dict[str, str],
 ) -> Iterator[Finding]:
-    """Report sim-scope functions that reach a source.
+    """Report every direct source call, and sim-scope functions that
+    reach a source through a call chain.
 
     ``tainted_ext(f)`` means ``f`` reaches a source through a chain that
     never passes through another sim-scope function — those chains are
@@ -172,18 +202,19 @@ def f601_findings(
         return [start]  # pragma: no cover - tainted implies a path
 
     for fn_qual in sorted(table.functions):
-        if not in_sim_scope(fn_qual):
-            continue
         path = display_paths.get(table.functions[fn_qual].module)
         if path is None:  # pragma: no cover - module outside the run
             continue
-        if fn_qual in sources:
-            name, why, line = sources[fn_qual][0]
+        sim = in_sim_scope(fn_qual)
+        direct = [hit for hit in sources.get(fn_qual, [])
+                  if sim or hit[1] != _HOST_TIMER]
+        for name, why, line in direct:
             yield Finding(
                 path, line, "F601",
                 f"{fn_qual} reaches wall-clock/entropy source {name} "
-                f"({why}); simulation state must derive from the seed "
-                "(time the simulation from repro.cli)")
+                f"({why}); simulation state must derive from the seed"
+                + (" (time the simulation from repro.cli)" if sim else ""))
+        if direct or not sim:
             continue
         for site in edges.get(fn_qual, []):
             callee = site.callee
@@ -215,6 +246,9 @@ ContainerRef = Tuple[str, str, str]
 
 _SET_CTORS = {"set", "frozenset"}
 _ORDER_CALLS = {"sorted", "min", "max"}
+# Builtins that iterate their first argument (``zip`` iterates each).
+_ITERATE_CALLS = {"list", "tuple", "iter", "enumerate", "reversed",
+                  "set", "frozenset"}
 _SERIALIZE_CALLS = {"json.dump", "json.dumps", "pickle.dump",
                     "pickle.dumps", "marshal.dump", "marshal.dumps",
                     "repr", "str"}
@@ -340,9 +374,7 @@ class _FunctionFlowExtractor:
     # -- statement walk ---------------------------------------------- #
 
     def run(self) -> None:
-        if self.fn.node is None:
-            return
-        nodes = list(_iter_scope_nodes(self.fn.node))
+        nodes = list(_iter_scope_nodes(self.fn))
         # Two passes so names assigned later in the body still resolve:
         # the env is an over-approximation joined across program points.
         for _ in range(2):
@@ -371,6 +403,9 @@ class _FunctionFlowExtractor:
                                    ast.GeneratorExp, ast.DictComp)):
                 for gen in node.generators:
                     self._sink(gen.iter, "iterated", node.lineno)
+            elif (isinstance(node, ast.Starred)
+                  and isinstance(node.ctx, ast.Load)):
+                self._sink(node.value, "iterated", node.lineno)
 
     def _assign(self, targets: Sequence[ast.expr],
                 value: ast.expr) -> None:
@@ -455,6 +490,15 @@ class _FunctionFlowExtractor:
                             (container, status, lineno, "set-add",
                              self.fn.qualname))
                     return
+                if func.attr == "setdefault" and call.args:
+                    status = self.status(call.args[0])
+                    if status is not None:
+                        self.facts.container_kinds.setdefault(
+                            container, "dict")
+                        self.facts.inserts.append(
+                            (container, status, lineno, "dict-key",
+                             self.fn.qualname))
+                    return
                 if func.attr == "append" and call.args:
                     status = self.status(call.args[0])
                     if status is not None:
@@ -475,10 +519,12 @@ class _FunctionFlowExtractor:
         elif name in _SERIALIZE_CALLS and call.args:
             for arg in call.args:
                 self._sink(arg, "serialized", lineno)
-        elif isinstance(func, ast.Name) and func.id in ("list", "tuple",
-                                                        "iter"):
-            if call.args:
-                self._sink(call.args[0], "iterated", lineno)
+        elif isinstance(func, ast.Name) and func.id == "zip":
+            for arg in call.args:
+                self._sink(arg, "iterated", lineno)
+        elif (isinstance(func, ast.Name) and func.id in _ITERATE_CALLS
+              and call.args):
+            self._sink(call.args[0], "iterated", lineno)
         # Identity-relevant arguments crossing a call boundary.
         target = self.call_status(call)
         callee = target[1] if target is not None and \
@@ -494,10 +540,13 @@ class _FunctionFlowExtractor:
                         (callee, i, status, lineno, self.fn.qualname))
 
     def _sink(self, expr: ast.expr, kind: str, lineno: int) -> None:
-        # sorted(x.keys()) / sorted(d.items()) see through the accessor.
+        # sorted(x.keys()) / sorted(d.items()) see through the accessor;
+        # iterating d.values() exposes no key.
         if (isinstance(expr, ast.Call)
                 and isinstance(expr.func, ast.Attribute)
                 and expr.func.attr in ("keys", "items", "values")):
+            if expr.func.attr == "values" and kind == "iterated":
+                return
             expr = expr.func.value
         container = self.container_of(expr)
         if container is not None:
@@ -639,15 +688,15 @@ def f602_findings(
                 continue
             value_taint, insert_fn, insert_line, _ik = info
             ckind = kinds.get(container, "set")
-            # Iterating an insertion-ordered dict/list is deterministic;
-            # ordering or serializing raw id() keys never is.  A set is
-            # hazardous to iterate either way.
-            if ckind in ("dict", "list") and sink_kind == "iterated":
-                continue
+            # A dict or list only ever holds raw id() ints (see the
+            # inserts above): iterating, ordering or serializing one
+            # hands the addresses on.  A set of identity-hashed objects
+            # is hazardous to iterate.
             if value_taint == "OBJ" and sink_kind != "iterated":
                 continue  # sorted() imposes value order on objects
-            what = ("id()-derived keys" if value_taint == "ID"
-                    else "elements hashed by object identity")
+            what = ("elements hashed by object identity"
+                    if value_taint == "OBJ" else "id()-derived keys"
+                    if ckind == "dict" else "id()-derived values")
             label = (f"{container[1]}.{container[2]}"
                      if container[0] == "attr"
                      else f"{container[2]} in {container[1]}")

@@ -238,9 +238,7 @@ class _UnitChecker:
     # -- walk ---------------------------------------------------------- #
 
     def run(self) -> None:
-        if self.fn.node is None:
-            return
-        nodes = list(_iter_scope_nodes(self.fn.node))
+        nodes = list(_iter_scope_nodes(self.fn))
         for _ in range(2):
             for node in nodes:
                 if isinstance(node, ast.Assign):

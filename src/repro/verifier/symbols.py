@@ -38,7 +38,9 @@ class FunctionSymbol:
     class_qualname: Optional[str]  # owning class, if a method
     params: List[str]             # positional-or-keyword names, incl. self
     annotations: Dict[str, str]   # param name -> unparsed annotation text
-    node: Optional[ast.AST] = field(default=None, repr=False)
+    # Every def bound to this qualname, in source order: a property's
+    # getter and setter share one, and both bodies run.
+    nodes: List[ast.AST] = field(default_factory=list, repr=False)
 
     @property
     def is_method(self) -> bool:
@@ -225,10 +227,12 @@ def _collect_module(module: ModuleInfo, table: SymbolTable) -> None:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}.{child.name}"
                 params, annotations = _param_info(child)
+                shadowed = table.functions.get(qual)
                 table.functions[qual] = FunctionSymbol(
                     qualname=qual, module=module.name, name=child.name,
                     lineno=child.lineno, class_qualname=class_qual,
-                    params=params, annotations=annotations, node=child)
+                    params=params, annotations=annotations,
+                    nodes=(shadowed.nodes if shadowed else []) + [child])
                 if class_qual is not None:
                     table.classes[class_qual].methods.add(child.name)
                     if child.name == "__hash__":
@@ -263,7 +267,7 @@ def _collect_module(module: ModuleInfo, table: SymbolTable) -> None:
     table.functions[f"{module.name}.{MODULE_BODY}"] = FunctionSymbol(
         qualname=f"{module.name}.{MODULE_BODY}", module=module.name,
         name=MODULE_BODY, lineno=1, class_qualname=None,
-        params=[], annotations={}, node=module.tree)
+        params=[], annotations={}, nodes=[module.tree])
     visit(module.tree, module.name, None)
 
 

@@ -39,7 +39,6 @@ from repro.nt.flight.log import (
     encode_histogram_entry,
     encode_scalar_entry,
     iter_samples,
-    read_metrics_header,
     write_metrics_log,
 )
 from repro.nt.flight.recorder import FlightRecorder
@@ -85,9 +84,6 @@ class TestLogFormat:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.ntmetrics"
         write_metrics_log([_hand_built_section()], path)
-        infos = read_metrics_header(path)
-        assert [(i.machine_name, i.interval_ticks, i.n_samples)
-                for i in infos] == [("m00", 10, 3)]
         samples = list(iter_samples(path))
         assert [(m, ticks) for m, ticks, _s in samples] == [("m00", 10)] * 3
         first, idle, last = (s for _m, _t, s in samples)
@@ -110,7 +106,7 @@ class TestLogFormat:
         path = tmp_path / "nope.ntmetrics"
         path.write_bytes(b"NOTMETRIC")
         with pytest.raises(ValueError, match="nope.ntmetrics"):
-            read_metrics_header(path)
+            list(iter_samples(path))
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "m.ntmetrics"
@@ -211,10 +207,8 @@ class TestDecoderNamesFile:
         section = _hand_built_section()
         path.write_bytes(_raw_log(b"m\xff0", section.n_samples,
                                   zlib.compress(section.frames)))
-        message = re.escape(f"{path}: corrupt string")
-        with pytest.raises(ValueError, match=message):
-            read_metrics_header(path)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: corrupt string")):
             list(iter_samples(path))
 
     def test_corrupt_series_name(self, tmp_path):
@@ -252,6 +246,25 @@ class TestDecoderNamesFile:
         assert proc.returncode == 1
         assert f"{path}: corrupt compressed payload" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_stray_bytes_after_the_stream_fail_repro_metrics(self,
+                                                            tmp_path):
+        # Junk after the end of a section's zlib stream, inside a
+        # compressed_len raised to match: every sample still decodes,
+        # but the section is not what the writer wrote.
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        path = traces / METRICS_FILENAME
+        section = _hand_built_section()
+        path.write_bytes(_raw_log(b"m00", section.n_samples,
+                                  zlib.compress(section.frames) + b"junk"))
+        message = (f"{path}: corrupt compressed payload: 4 stray bytes "
+                   f"after the end of the stream")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(iter_samples(path))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["metrics", str(traces)])
+        assert exit_info.value.code == message
 
 
 class TestRecorder:

@@ -261,6 +261,27 @@ class TestCorruption:
             with pytest.raises(ValueError, match=named):
                 decode(path)
 
+    def test_stray_bytes_after_the_zlib_stream_fail_repro_report(
+            self, tmp_path, capsys):
+        # Junk after the end of the compressed stream, inside a header
+        # length raised to match: every record still inflates, but the
+        # file is not what the writer wrote.
+        directory = tmp_path / "traces"
+        directory.mkdir()
+        path = directory / "m.nttrace"
+        payload = zlib.compress(pack_collector(_collector()), level=6) \
+            + b"\x00" * 8
+        path.write_bytes(b"NTTRACE2" + struct.pack("<Q", len(payload))
+                         + payload)
+        message = (f"{path}: corrupt compressed payload: 8 stray bytes "
+                   f"after the end of the stream")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_collector(path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["report", str(directory)])
+        assert exit_info.value.code == message
+        assert capsys.readouterr().out == ""
+
     def test_stray_bytes_after_span_log_name_file(self, tmp_path):
         path = tmp_path / "stray.nttrace"
         _write_payload(path, pack_collector(_spanned_collector()) + b"\x01")

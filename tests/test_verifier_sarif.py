@@ -62,7 +62,7 @@ def test_export_shape_and_validator(tmp_path):
     assert doc["version"] == "2.1.0"
     assert run["tool"]["driver"]["name"] == "repro-verify"
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"D101", "F601", "F602", "U801", "U802"} <= rule_ids
+    assert {"D103", "D202", "F601", "F602", "U801", "U802"} <= rule_ids
     errors = [r for r in run["results"] if r["level"] == "error"]
     assert errors
     for result in errors:
@@ -74,12 +74,6 @@ def test_export_shape_and_validator(tmp_path):
 
 def test_suppressed_findings_carry_justification(tmp_path):
     report, suppressions = _report(tmp_path, BAD, baseline="""\
-        [[suppression]]
-        rule = "D101"
-        path = "tree/repro/nt/bad.py"
-        match = "time.time"
-        justification = "test-only telemetry read"
-
         [[suppression]]
         rule = "F601"
         path = "tree/repro/nt/bad.py"
@@ -111,7 +105,7 @@ def test_validator_rejects_malformed_documents():
     assert validate_sarif([]) != []
     assert validate_sarif({"version": "2.0.0", "runs": []}) != []
     ok_result = {
-        "ruleId": "D101", "level": "error",
+        "ruleId": "F601", "level": "error",
         "message": {"text": "x"},
         "locations": [{"physicalLocation": {
             "artifactLocation": {"uri": "a.py"},
@@ -120,7 +114,7 @@ def test_validator_rejects_malformed_documents():
     base = {
         "$schema": "s", "version": "2.1.0",
         "runs": [{"tool": {"driver": {"name": "t", "rules": [
-            {"id": "D101"}]}}, "results": [ok_result]}],
+            {"id": "F601"}]}}, "results": [ok_result]}],
     }
     assert validate_sarif(base) == []
 
